@@ -16,12 +16,11 @@ from ghzkd import (
     ProtocolConfig,
     calibrate_threshold,
     continuous_attack_rate,
-    exact_violation_probability,
+    exact_violation_rate,
     menu_attack_rates,
     monte_carlo_violation_rate,
     run_method1,
     run_method2,
-    same_angle_violation,
 )
 
 SPEC = GhzSpec("+++", -1)
@@ -32,15 +31,14 @@ print("=== Violation probability vs Eve's angle offset (exact vs sampled) ===")
 print(f"{'offset':>8} {'oracle':>10} {'monte-carlo':>12}")
 for k in range(9):
     delta = k * math.pi / 8
-    oracle = exact_violation_probability(SPEC, *TRIPLE, eve_angle=TRIPLE[0] + delta)
+    oracle = exact_violation_rate(SPEC, TRIPLE, eve_angle=TRIPLE[0] + delta)
     v, n = monte_carlo_violation_rate(SPEC, TRIPLE, eve_angle=TRIPLE[0] + delta, n_rounds=2000, seed=k)
     print(f"{delta:8.4f} {oracle:10.4f} {v / n:12.4f}")
 
-report = same_angle_violation(SPEC, *TRIPLE)
+matched = exact_violation_rate(SPEC, TRIPLE, eve_angle=TRIPLE[0])
 print()
-print(f"matched-angle intercept: oracle gives {report.probability:.3e}; "
-      f"{'matches' if report.matches_half_rate else 'does NOT match'} the 1/2 rate of a "
-      f"mismatched basis")
+print(f"matched-angle intercept: oracle gives {matched:.3e}, against 1/2 for a "
+      f"quarter-turn mismatch")
 
 print()
 print("=== What a menu session sees ===")
@@ -69,10 +67,10 @@ base = ProtocolConfig(
     noise=NoiseModel.depolarizing(p),
     eve=EveStrategy.intercept_resend_a(math.pi / 3),
 )
-threshold = calibrate_threshold(base, n_cal=2000)
+threshold = calibrate_threshold(base)
 noise_only_rate = (1 - (1 - p) ** 2) / 2
 attacked_rate = continuous_attack_rate(SPEC, 1, eve_angle=math.pi / 3, noise_p=p)
-print(f"noise-only rate ~{noise_only_rate:.4f}, noise+Eve rate {attacked_rate:.4f}, "
+print(f"noise-only rate {noise_only_rate:.4f}, noise+Eve rate {attacked_rate:.4f}, "
       f"threshold {threshold:.4f}")
 
 import dataclasses

@@ -16,7 +16,6 @@ from ghzkd import (
     Method,
     ProtocolConfig,
     bits_to_str,
-    eve_key_information,
     impersonation_view_joint,
     mutual_information,
     pad_reuse_information,
@@ -53,7 +52,7 @@ for preference in (1, -1):
         bob_parity_preference=preference,
         eve=EveStrategy.impersonate_charlie(),
     )
-    info = eve_key_information(cfg)
+    info = mutual_information(impersonation_view_joint(cfg))
     print(f"  parity preference {preference:+d}: I(view ; K) = {info:.3e} bits")
 
 joint = impersonation_view_joint(

@@ -8,99 +8,43 @@ key-distribution sessions over simulated quantum and classical channels, and
 ``adversary`` supplies eavesdropper strategies, channel noise, violation
 detection, and exact branch-enumeration oracles against which the
 Monte-Carlo paths are checked.
+
+The names below are the ones the README quick start and the demos use;
+everything else is imported from its module (``ghzkd.adversary`` and so on).
 """
 
 from .core import (
-    Mode,
     MeasurementSetting,
-    OUTCOME_TRIPLES,
-    PRODUCT_BY_INDEX,
-    born_probabilities,
-    eigenbasis,
-    eigenbasis_for,
+    Mode,
     expectation,
-    expectation_of_operator,
     joint_outcome_distribution,
     make_retarded_analyzer,
-    make_spin_observable,
-    measure_single,
-    normalize_angle,
-    observable_for,
     polarization_analyzer,
-    polarization_setting,
-    project_single,
-    sample_joint,
     spin_setting,
-    tensor3,
     wave_retarder,
 )
-from .ghz import (
-    GhzSpec,
-    analytic_expectation,
-    compatible_outcomes,
-    ghz_state,
-    is_super_classical,
-    menu_quality,
-    predict_third,
-    signed_phase_sum,
-    solve_bob_phase,
-    super_classical_triples,
-)
-from .transcript import (
-    PublicMessage,
-    RoundRecord,
-    Transcript,
-    format_angle,
-    transcript_to_csv,
-    transcript_to_dict,
-    transcript_to_json,
-)
+from .ghz import GhzSpec, analytic_expectation, compatible_outcomes, ghz_state, is_super_classical
+from .transcript import transcript_to_json
 from .adversary import (
-    AnglePolicy,
-    DetectionReport,
-    EveInterceptRecord,
-    EveKind,
     EveStrategy,
-    MenuRates,
-    NoRetainedRounds,
-    NoiseKind,
     NoiseModel,
-    SameAngleReport,
-    Verdict,
-    apply_noise,
     calibrate_threshold,
     continuous_attack_rate,
-    detect,
-    detection_report_to_dict,
-    eve_impersonate_charlie,
-    eve_intercept_resend,
-    eve_key_information,
-    exact_violation_probability,
     exact_violation_rate,
     impersonation_view_joint,
     menu_attack_rates,
-    menu_attack_summary,
-    monte_carlo_menu_rate,
     monte_carlo_violation_rate,
     mutual_information,
     pad_reuse_information,
-    same_angle_violation,
 )
 from .protocol import (
-    ConfigError,
-    KeyExhausted,
     Method,
     ProtocolConfig,
-    SessionResult,
     bit_of,
     bits_to_str,
-    encode_bit,
-    recover_alice_bit,
-    recover_key_bit,
     run_method1,
     run_method2,
     run_three_party,
-    session_result_to_dict,
 )
 
 __version__ = "0.1.0"

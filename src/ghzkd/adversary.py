@@ -3,7 +3,7 @@
 The oracles enumerate every branch (noise operator choices, the
 eavesdropper's projective outcomes, and the parties' joint outcomes)
 through the state-vector engine, so they are exact up to float rounding.
-Monte-Carlo estimators with the same channel pipeline sit alongside them;
+A Monte-Carlo estimator with the same channel pipeline sits alongside them;
 tests and sweeps compare the two rather than trusting either alone.
 
 Channel pipeline for a round, matching the protocol runner: the prepared
@@ -42,29 +42,21 @@ class EveKind(enum.Enum):
     IMPERSONATE_CHARLIE = "impersonate-charlie"
 
 
-class AnglePolicy(enum.Enum):
-    GUESS_FROM_MENU = "guess-from-menu"
-    FIXED_ANGLE = "fixed-angle"
-    MATCH_ALICE = "match-alice"
-
-
 @dataclass(frozen=True)
 class EveStrategy:
-    """What the eavesdropper does, and how she picks her measurement angle.
+    """What the eavesdropper does, and at which angle she measures.
 
-    MATCH_ALICE exists for analysis only: in a causal run Eve touches the
-    particle before the angle announcement, so the protocol runners reject
-    it.  The exact oracles accept any angle, which covers the matched case.
+    An intercept-resend eavesdropper without a ``fixed_angle`` guesses
+    uniformly among the menu angles each round.
     """
 
     kind: EveKind = EveKind.NONE
-    angle_policy: AnglePolicy = AnglePolicy.GUESS_FROM_MENU
     fixed_angle: float | None = None
 
     def __post_init__(self):
-        if self.angle_policy is AnglePolicy.FIXED_ANGLE:
-            if self.fixed_angle is None or not math.isfinite(self.fixed_angle):
-                raise ValueError("FIXED_ANGLE policy requires a finite fixed_angle")
+        if self.fixed_angle is not None:
+            if not math.isfinite(self.fixed_angle):
+                raise ValueError(f"fixed_angle must be finite, got {self.fixed_angle!r}")
             object.__setattr__(self, "fixed_angle", normalize_angle(self.fixed_angle))
 
     @classmethod
@@ -73,9 +65,7 @@ class EveStrategy:
 
     @classmethod
     def intercept_resend_a(cls, fixed_angle: float | None = None) -> "EveStrategy":
-        if fixed_angle is None:
-            return cls(EveKind.INTERCEPT_RESEND_A, AnglePolicy.GUESS_FROM_MENU)
-        return cls(EveKind.INTERCEPT_RESEND_A, AnglePolicy.FIXED_ANGLE, fixed_angle)
+        return cls(EveKind.INTERCEPT_RESEND_A, fixed_angle)
 
     @classmethod
     def impersonate_charlie(cls) -> "EveStrategy":
@@ -299,6 +289,8 @@ def exact_violation_rate(
     joint outcome distribution.  The phase triple must pin a deterministic
     parity, otherwise there is no prediction to violate.
     """
+    if not 0.0 <= noise_p <= 1.0:
+        raise ValueError(f"noise probability must be in [0, 1], got {noise_p!r}")
     parity = is_super_classical(spec, phases)
     if parity is None:
         raise ValueError(f"phases {tuple(phases)} are not super-classical for {spec}")
@@ -324,38 +316,6 @@ def exact_violation_rate(
                 continue
             total += weight * p_branch * _violation_mass(post, settings, parity)
     return total
-
-
-def exact_violation_probability(
-    spec: GhzSpec, phi_a: float, phi_b: float, phi_c: float, eve_angle: float, mode: Mode = Mode.SPIN
-) -> float:
-    """Branch-enumeration oracle for a noiseless intercept-resend on particle a.
-
-    Sixteen branches in total: Eve's two outcomes times the eight joint
-    outcomes of the parties' measurements on the resent state.
-    """
-    return exact_violation_rate(spec, (phi_a, phi_b, phi_c), mode, eve_angle=eve_angle)
-
-
-@dataclass(frozen=True)
-class SameAngleReport:
-    """Oracle value for an interceptor who hits the sender's exact angle.
-
-    ``matches_half_rate`` flags agreement with the 1/2 violation rate a
-    mismatched-basis intercept produces; the oracle decides, nothing is
-    assumed.
-    """
-
-    probability: float
-    half_rate: float
-    matches_half_rate: bool
-
-
-def same_angle_violation(
-    spec: GhzSpec, phi_a: float, phi_b: float, phi_c: float, mode: Mode = Mode.SPIN, tol: float = 1e-9
-) -> SameAngleReport:
-    p = exact_violation_probability(spec, phi_a, phi_b, phi_c, eve_angle=phi_a, mode=mode)
-    return SameAngleReport(probability=p, half_rate=0.5, matches_half_rate=abs(p - 0.5) <= tol)
 
 
 @dataclass
@@ -453,16 +413,7 @@ def menu_attack_summary(spec: GhzSpec, menu, mode: Mode = Mode.SPIN, noise_p: fl
 
 
 # --------------------------------------------------------------------------
-# Monte-Carlo estimators (same channel pipeline as the oracles)
-
-
-def _play_attacked_round(state, settings, mode, eve_angle, noise, rng):
-    if noise.p > 0.0:
-        state = apply_noise(state, 1, noise, rng)
-        state = apply_noise(state, 3, noise, rng)
-    if eve_angle is not None:
-        state, _ = eve_intercept_resend(state, eve_angle, rng, mode)
-    return sample_joint(state, settings, rng)
+# Monte-Carlo estimator (same channel pipeline as the oracles)
 
 
 def monte_carlo_violation_rate(
@@ -484,125 +435,52 @@ def monte_carlo_violation_rate(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     violations = 0
     for _ in range(n_rounds):
-        r1, r2, r3 = _play_attacked_round(base, settings, mode, eve_angle, noise, rng)
+        state = base
+        if noise.p > 0.0:
+            state = apply_noise(state, 1, noise, rng)
+            state = apply_noise(state, 3, noise, rng)
+        if eve_angle is not None:
+            state, _ = eve_intercept_resend(state, eve_angle, rng, mode)
+        r1, r2, r3 = sample_joint(state, settings, rng)
         violations += int(r1 * r2 * r3 != parity)
     return violations, n_rounds
 
 
-def monte_carlo_menu_rate(
-    spec: GhzSpec,
-    menu,
-    mode: Mode = Mode.SPIN,
-    *,
-    parity_class: int = 1,
-    eve_angle: float | None = None,
-    guess_from_menu: bool = False,
-    noise: NoiseModel = NoiseModel.none(),
-    n_rounds: int = 4000,
-    seed: int = 0,
-) -> tuple[int, int]:
-    """(violations, checked) over menu-drawn rounds retained in one parity class."""
-    menu_angles = tuple(normalize_angle(a) for a in menu)
-    base = ghz_state(spec)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    violations = checked = 0
-    for _ in range(n_rounds):
-        triple = tuple(menu_angles[rng.integers(3)] for _ in range(3))
-        parity = is_super_classical(spec, triple)
-        angle = menu_angles[rng.integers(3)] if guess_from_menu else eve_angle
-        if parity != parity_class:
-            continue
-        outcome = _play_attacked_round(base, _settings(mode, triple), mode, angle, noise, rng)
-        checked += 1
-        violations += int(outcome[0] * outcome[1] * outcome[2] != parity)
-    return violations, checked
+# --------------------------------------------------------------------------
+# Threshold calibration
 
 
-def _monte_carlo_continuous_rate(
-    spec, preference, mode, *, eve_angle, noise, n_rounds, seed
-) -> tuple[int, int]:
-    base = ghz_state(spec)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    violations = 0
-    for _ in range(n_rounds):
-        phi_a = rng.uniform(0.0, TWO_PI)
-        phi_c = rng.uniform(0.0, TWO_PI)
-        phi_b = solve_bob_phase(spec, phi_a, phi_c, preference)
-        settings = _settings(mode, (phi_a, phi_b, phi_c))
-        r1, r2, r3 = _play_attacked_round(base, settings, mode, eve_angle, noise, rng)
-        violations += int(r1 * r2 * r3 != preference)
-    return violations, n_rounds
+def calibrate_threshold(config) -> float:
+    """Midpoint threshold between the exact noise-only and noise-plus-Eve rates.
 
-
-def calibrate_threshold(config, n_cal: int = 2000, seed: int | None = None) -> float:
-    """Midpoint threshold between the noise-only and noise-plus-Eve rates.
-
-    The noise-only rate is estimated from ``n_cal`` Monte-Carlo rounds with
-    the eavesdropper switched off; the attacked rate comes from the exact
-    oracle under the configured strategy (an intercept-resend guessing from
-    the menu, or averaged over announced angles, when none is configured).
+    Both rates come from the exact oracles under the configured noise: the
+    noise-only rate with the eavesdropper switched off, the attacked rate
+    under the configured strategy (an intercept-resend guessing from the
+    menu, or averaged over announced angles, when none is configured).
     ``config`` is a protocol configuration; only its plain fields are read.
     """
-    method = int(config.method)
-    noise = config.noise
-    noise_p = noise.p if noise.kind is NoiseKind.DEPOLARIZING else 0.0
-    cal_seed = (config.seed + 0x5EED) if seed is None else seed
+    spec, mode, noise_p = config.spec, config.mode, config.noise.p
+    eve_angle = config.eve.fixed_angle if config.eve.kind is EveKind.INTERCEPT_RESEND_A else None
 
-    eve_angle = None
-    guess = False
-    if config.eve.kind is EveKind.INTERCEPT_RESEND_A and config.eve.angle_policy is AnglePolicy.FIXED_ANGLE:
-        eve_angle = config.eve.fixed_angle
-    else:
-        guess = True  # default attack assumption for calibration
-
-    if method == 1:
-        rates = menu_attack_rates(
-            config.spec,
-            config.menu,
-            config.mode,
-            eve_angle=eve_angle,
-            guess_from_menu=guess and eve_angle is None,
-            noise_p=noise_p,
-        )
+    if int(config.method) == 1:
+        attacked = menu_attack_rates(
+            spec, config.menu, mode, eve_angle=eve_angle, guess_from_menu=eve_angle is None, noise_p=noise_p
+        ).by_class
         parity_class = config.detection_parity
         if parity_class is None:
-            parity_class = 1 if rates.by_class[1] is not None else -1
-        r1 = rates.by_class[parity_class]
+            parity_class = 1 if attacked[1] is not None else -1
+        r1 = attacked[parity_class]
         if r1 is None:
             raise NoRetainedRounds(f"menu retains no rounds with parity {parity_class:+d}")
-        v0, n0 = monte_carlo_menu_rate(
-            config.spec,
-            config.menu,
-            config.mode,
-            parity_class=parity_class,
-            noise=noise,
-            n_rounds=n_cal,
-            seed=cal_seed,
-        )
-        if n0 == 0:
-            raise NoRetainedRounds("calibration run retained no rounds in the designated class")
-        r0 = v0 / n0
+        r0 = menu_attack_rates(spec, config.menu, mode, noise_p=noise_p).by_class[parity_class]
     else:
         preference = config.bob_parity_preference
         # Averaged over the announced angle, a fixed Eve angle and a random
         # one give the same exact rate; 0.0 stands in when none is set.
         r1 = continuous_attack_rate(
-            config.spec,
-            preference,
-            config.mode,
-            eve_angle=eve_angle if eve_angle is not None else 0.0,
-            noise_p=noise_p,
+            spec, preference, mode, eve_angle=eve_angle if eve_angle is not None else 0.0, noise_p=noise_p
         )
-        v0, n0 = _monte_carlo_continuous_rate(
-            config.spec,
-            preference,
-            config.mode,
-            eve_angle=None,
-            noise=noise,
-            n_rounds=n_cal,
-            seed=cal_seed,
-        )
-        r0 = v0 / n0
+        r0 = continuous_attack_rate(spec, preference, mode, noise_p=noise_p)
     return 0.5 * (r0 + r1)
 
 
@@ -672,21 +550,6 @@ def impersonation_view_joint(
                     view = view + (a_bit,)
                 joint[(view, key_bit)] = joint.get((view, key_bit), 0.0) + 0.5 * weight * p
     return joint
-
-
-def eve_key_information(config, phi_a: float | None = None, phi_c: float | None = None) -> float:
-    """Bits of key information in the impersonating eavesdropper's exact view.
-
-    Enumerated exactly for a single key bit; rounds are independent and key
-    bits i.i.d., so for key lengths up to the enumeration cap the total is
-    the per-round information times the length.
-    """
-    if config.eve.kind is not EveKind.IMPERSONATE_CHARLIE:
-        raise ValueError("eve_key_information applies to the impersonation strategy")
-    if config.key_length > 4:
-        raise ValueError("exact enumeration is capped at 4 key bits")
-    per_round = mutual_information(impersonation_view_joint(config, phi_a, phi_c))
-    return config.key_length * per_round
 
 
 def pad_reuse_information(

@@ -80,6 +80,22 @@ def _parse_angle_list(text: str, expected: int | None = None) -> tuple[float, ..
     return values
 
 
+def probability(text: str) -> float:
+    """A probability in [0, 1]; the argparse type of ``--noise-p``."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+def count(text: str) -> int:
+    """A positive integer; the argparse type of ``--mc-rounds``."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors by default; 2 is reserved for
     # eavesdropper detection here.
@@ -319,7 +335,7 @@ def build_parser() -> _Parser:
     p.add_argument("--parity-preference", type=int, choices=(1, -1), default=1, dest="parity_preference")
     p.add_argument("--eve", choices=("none", "intercept-a", "impersonate-charlie"), default="none")
     p.add_argument("--eve-angle", type=parse_angle, default=None, dest="eve_angle")
-    p.add_argument("--noise-p", type=float, default=0.0, dest="noise_p")
+    p.add_argument("--noise-p", type=probability, default=0.0, dest="noise_p")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--reveal-secret", action="store_true", dest="reveal_secret")
@@ -342,8 +358,8 @@ def build_parser() -> _Parser:
     p.add_argument("--values", default=None, help="comma-separated sweep values")
     p.add_argument("--phases", default=None, help="super-classical base triple")
     p.add_argument("--menu", default=None, help="also print menu-averaged attack rates")
-    p.add_argument("--noise-p", type=float, default=0.0, dest="noise_p")
-    p.add_argument("--mc-rounds", type=int, default=2000, dest="mc_rounds")
+    p.add_argument("--noise-p", type=probability, default=0.0, dest="noise_p")
+    p.add_argument("--mc-rounds", type=count, default=2000, dest="mc_rounds")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import (
-    AnglePolicy,
     DetectionReport,
     EveKind,
     EveStrategy,
@@ -110,6 +109,11 @@ class ProtocolConfig:
             object.__setattr__(self, "menu", menu)
         if method is Method.METHOD1 and self.menu is None:
             raise ConfigError("METHOD1 requires an angle menu")
+        if self.eve.kind is EveKind.INTERCEPT_RESEND_A and self.eve.fixed_angle is None and self.menu is None:
+            raise ConfigError(
+                "an eavesdropper guessing from the menu needs a configured menu; "
+                "menu-less sessions take a fixed Eve angle"
+            )
         if self.method2_menu_angles:
             if method is not Method.METHOD2:
                 raise ConfigError("method2_menu_angles only applies to METHOD2")
@@ -182,19 +186,6 @@ def _round_rng(base: tuple[int, int], index: int, role: int) -> np.random.Genera
     return np.random.default_rng(np.random.SeedSequence(base + (_ROUND_DOMAIN, index, role)))
 
 
-def _resolve_eve_angle(config: ProtocolConfig, rng: np.random.Generator) -> float:
-    policy = config.eve.angle_policy
-    if policy is AnglePolicy.FIXED_ANGLE:
-        return config.eve.fixed_angle
-    if policy is AnglePolicy.GUESS_FROM_MENU:
-        if config.menu is None:
-            raise ConfigError(
-                "GUESS_FROM_MENU needs a configured menu; menu-less sessions take a fixed Eve angle"
-            )
-        return config.menu[rng.integers(3)]
-    raise ConfigError("MATCH_ALICE is an analysis-only policy; causal runs cannot use it")
-
-
 def _play_round_physics(config: ProtocolConfig, base: tuple[int, int], index: int) -> _RoundPhysics:
     """One round's physics, self-contained: angle draws, transit, measurement.
 
@@ -226,7 +217,9 @@ def _play_round_physics(config: ProtocolConfig, base: tuple[int, int], index: in
         state = apply_noise(state, 3, config.noise, noise_rng)  # particle c in transit
     if config.eve.kind is EveKind.INTERCEPT_RESEND_A:
         eve_rng = _round_rng(base, index, _ROLE_EVE)
-        eve_angle = _resolve_eve_angle(config, eve_rng)
+        eve_angle = config.eve.fixed_angle
+        if eve_angle is None:
+            eve_angle = config.menu[eve_rng.integers(3)]
         state, _ = eve_intercept_resend(state, eve_angle, eve_rng, config.mode)
 
     settings = tuple(MeasurementSetting(config.mode, p) for p in (phi_a, phi_b, phi_c))
@@ -246,8 +239,6 @@ def _draw_key_bits(config: ProtocolConfig, base: tuple[int, int]) -> np.ndarray:
 def _run_session(
     config: ProtocolConfig, base: tuple[int, int], key_bits: np.ndarray | None = None
 ) -> tuple[SessionResult, Transcript]:
-    if config.eve.kind is EveKind.INTERCEPT_RESEND_A:
-        _resolve_eve_angle(config, np.random.default_rng(0))  # fail fast on bad policy
     if key_bits is None:
         key_bits = _draw_key_bits(config, base)
 

@@ -1,12 +1,12 @@
 """Attacks, noise, detection, and the exact oracles they are checked against."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ghzkd.adversary import (
-    AnglePolicy,
     EveKind,
     EveStrategy,
     NoRetainedRounds,
@@ -18,17 +18,13 @@ from ghzkd.adversary import (
     detect,
     eve_impersonate_charlie,
     eve_intercept_resend,
-    eve_key_information,
-    exact_violation_probability,
     exact_violation_rate,
     impersonation_view_joint,
     menu_attack_rates,
     menu_attack_summary,
-    monte_carlo_menu_rate,
     monte_carlo_violation_rate,
     mutual_information,
     pad_reuse_information,
-    same_angle_violation,
 )
 from ghzkd.core import Mode, MeasurementSetting, born_probabilities, spin_setting
 from ghzkd.ghz import GhzSpec, ghz_state, solve_bob_phase
@@ -97,6 +93,9 @@ def test_noise_model_validation():
         NoiseModel.depolarizing(1.5)
     with pytest.raises(ValueError):
         NoiseModel(kind=NoiseKind.NONE, p=0.3)
+    for p in (-0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            exact_violation_rate(SPEC, SC_TRIPLE, noise_p=p)
 
 
 def test_noise_endpoints_exact():
@@ -131,11 +130,11 @@ def test_noise_monte_carlo_matches_oracle():
 
 def test_oracle_requires_super_classical_phases():
     with pytest.raises(ValueError, match="super-classical"):
-        exact_violation_probability(SPEC, 0.3, 0.0, 0.0, eve_angle=1.0)
+        exact_violation_rate(SPEC, (0.3, 0.0, 0.0), eve_angle=1.0)
 
 
 def test_oracle_half_rate_at_quarter_turn():
-    p = exact_violation_probability(SPEC, *SC_TRIPLE, eve_angle=SC_TRIPLE[0] + math.pi / 2)
+    p = exact_violation_rate(SPEC, SC_TRIPLE, eve_angle=SC_TRIPLE[0] + math.pi / 2)
     assert p == pytest.approx(0.5, abs=1e-12)
 
 
@@ -143,8 +142,8 @@ def test_oracle_even_in_angle_offset():
     rng = np.random.default_rng(3)
     for _ in range(10):
         delta = rng.uniform(0, math.pi)
-        plus = exact_violation_probability(SPEC, *SC_TRIPLE, eve_angle=SC_TRIPLE[0] + delta)
-        minus = exact_violation_probability(SPEC, *SC_TRIPLE, eve_angle=SC_TRIPLE[0] - delta)
+        plus = exact_violation_rate(SPEC, SC_TRIPLE, eve_angle=SC_TRIPLE[0] + delta)
+        minus = exact_violation_rate(SPEC, SC_TRIPLE, eve_angle=SC_TRIPLE[0] - delta)
         assert plus == pytest.approx(minus, abs=1e-12)
 
 
@@ -152,27 +151,48 @@ def test_oracle_invariant_under_common_shift():
     # Shift the attacked particle's angle and Eve together, compensating on
     # particle b so the triple stays super-classical: only differences matter.
     delta = 0.631
-    base = exact_violation_probability(SPEC, *SC_TRIPLE, eve_angle=SC_TRIPLE[0] + delta)
+    base = exact_violation_rate(SPEC, SC_TRIPLE, eve_angle=SC_TRIPLE[0] + delta)
     for offset in (0.4, 1.3, 2.9):
         phases = (SC_TRIPLE[0] + offset, SC_TRIPLE[1] - offset, SC_TRIPLE[2])
-        shifted = exact_violation_probability(SPEC, *phases, eve_angle=phases[0] + delta)
+        shifted = exact_violation_rate(SPEC, phases, eve_angle=phases[0] + delta)
         assert shifted == pytest.approx(base, abs=1e-12)
 
 
 def test_oracle_monte_carlo_agreement_on_offset_grid():
     for k, delta in enumerate((0.0, math.pi / 8, math.pi / 4, math.pi / 2)):
         angle = SC_TRIPLE[0] + delta
-        oracle = exact_violation_probability(SPEC, *SC_TRIPLE, eve_angle=angle)
+        oracle = exact_violation_rate(SPEC, SC_TRIPLE, eve_angle=angle)
         v, n = monte_carlo_violation_rate(SPEC, SC_TRIPLE, eve_angle=angle, n_rounds=3000, seed=40 + k)
         assert abs(v / n - oracle) <= 4 * _sigma(oracle, n)
 
 
 def test_same_angle_report_is_oracle_driven():
-    report = same_angle_violation(SPEC, *SC_TRIPLE)
-    assert report.half_rate == 0.5
-    assert report.matches_half_rate == (abs(report.probability - 0.5) <= 1e-9)
     # intercepting in the measured basis leaves the statistics untouched
-    assert report.probability == pytest.approx(0.0, abs=1e-12)
+    for mode in Mode:
+        rate = exact_violation_rate(SPEC, SC_TRIPLE, mode, eve_angle=SC_TRIPLE[0])
+        assert rate == pytest.approx(0.0, abs=1e-12)
+
+
+def test_oracle_matches_closed_form_law():
+    # Differential check of the branch enumeration against the closed form
+    # (1 - (1-p)^k cos^2(e - phi_a)) / 2, k noisy qubits, cos^2 = 1 without
+    # Eve.  The law lives only here: the library keeps one oracle.
+    rng = np.random.default_rng(2308)
+    subsets = ((), (1,), (2,), (3,), (1, 3), (1, 2), (2, 3), (1, 2, 3))
+    worst = 0.0
+    for case in range(400):
+        spec = GhzSpec.all_canonical()[case % 8]
+        mode = (Mode.SPIN, Mode.POLARIZATION)[(case // 8) % 2]
+        phi_a, phi_c = rng.uniform(0, 2 * math.pi, size=2)
+        phases = (phi_a, solve_bob_phase(spec, phi_a, phi_c, int(rng.choice((1, -1)))), phi_c)
+        p = float(rng.choice((0.0, 1.0, rng.uniform())))
+        eve = None if case % 3 == 0 else float(rng.uniform(0, 2 * math.pi))
+        qubits = subsets[rng.integers(len(subsets))]
+        overlap = 1.0 if eve is None else math.cos(eve - phi_a) ** 2
+        law = (1 - (1 - p) ** len(qubits) * overlap) / 2
+        got = exact_violation_rate(spec, phases, mode, eve_angle=eve, noise_p=p, noise_qubits=qubits)
+        worst = max(worst, abs(got - law))
+    assert worst <= 1e-12
 
 
 def test_menu_attack_rates_match_per_triple_averages():
@@ -262,27 +282,31 @@ def test_impersonation_runs_are_indistinguishable_from_honest():
 # key information
 
 
-def _impersonation_config(method, preference=1, key_length=1):
+def _impersonation_config(method, preference=1):
     return ProtocolConfig(
         method=method,
         menu=MENU if method is Method.METHOD1 else None,
-        key_length=key_length,
+        key_length=1,
         seed=1,
         bob_parity_preference=preference,
         eve=EveStrategy.impersonate_charlie(),
     )
 
 
-def test_eve_key_information_is_zero():
+def _key_information(config, phi_a=None, phi_c=None):
+    return mutual_information(impersonation_view_joint(config, phi_a, phi_c))
+
+
+def test_impersonation_key_information_is_zero():
     for method in (Method.METHOD1, Method.METHOD2):
         for preference in (1, -1):
-            info = eve_key_information(_impersonation_config(method, preference))
+            info = _key_information(_impersonation_config(method, preference))
             assert abs(info) <= 1e-12
 
 
-def test_eve_key_information_fixed_angles_and_modes():
+def test_impersonation_key_information_fixed_angles_and_modes():
     cfg = _impersonation_config(Method.METHOD2)
-    assert abs(eve_key_information(cfg, phi_a=0.83, phi_c=2.1)) <= 1e-12
+    assert abs(_key_information(cfg, phi_a=0.83, phi_c=2.1)) <= 1e-12
     pol = ProtocolConfig(
         method=Method.METHOD2,
         mode=Mode.POLARIZATION,
@@ -290,7 +314,7 @@ def test_eve_key_information_fixed_angles_and_modes():
         seed=1,
         eve=EveStrategy.impersonate_charlie(),
     )
-    assert abs(eve_key_information(pol)) <= 1e-12
+    assert abs(_key_information(pol)) <= 1e-12
 
 
 def test_eve_posterior_is_uniform_per_view():
@@ -306,16 +330,6 @@ def test_eve_posterior_is_uniform_per_view():
 def test_leaking_the_sender_bit_yields_one_full_bit():
     joint = impersonation_view_joint(_impersonation_config(Method.METHOD2), leak_alice_bit=True)
     assert mutual_information(joint) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eve_key_information_guards():
-    cfg = _impersonation_config(Method.METHOD2, key_length=4)
-    assert abs(eve_key_information(cfg)) <= 4e-12
-    with pytest.raises(ValueError, match="capped"):
-        eve_key_information(_impersonation_config(Method.METHOD2, key_length=5))
-    honest = ProtocolConfig(method=Method.METHOD2, key_length=1, seed=1)
-    with pytest.raises(ValueError, match="impersonation"):
-        eve_key_information(honest)
 
 
 def test_pad_reuse_information_is_zero():
@@ -349,12 +363,10 @@ def test_calibrated_threshold_separates_noise_from_eve():
         noise=NoiseModel.depolarizing(p),
         eve=EveStrategy.intercept_resend_a(math.pi / 3),
     )
-    threshold = calibrate_threshold(cfg, n_cal=2000)
+    threshold = calibrate_threshold(cfg)
     r0 = (1 - (1 - p) ** 2) / 2
     r1 = continuous_attack_rate(SPEC, 1, eve_angle=math.pi / 3, noise_p=p)
     assert r0 < threshold < r1
-
-    import dataclasses
 
     noisy_only = dataclasses.replace(cfg, eve=EveStrategy.none(), threshold=threshold, seed=61)
     result, _ = run_method2(noisy_only)
@@ -363,6 +375,31 @@ def test_calibrated_threshold_separates_noise_from_eve():
     attacked = dataclasses.replace(cfg, threshold=threshold, seed=62)
     result, _ = run_method2(attacked)
     assert result.detection.verdict is Verdict.EVE_DETECTED
+
+
+def test_calibrate_threshold_is_the_exact_midpoint():
+    p = 0.07
+    noise = NoiseModel.depolarizing(p)
+    m1 = ProtocolConfig(method=Method.METHOD1, menu=MENU, key_length=8, noise=noise)
+    m2 = ProtocolConfig(method=Method.METHOD2, key_length=8, noise=noise)
+    cases = []
+    for eve in (EveStrategy.none(), EveStrategy.intercept_resend_a(), EveStrategy.intercept_resend_a(0.4)):
+        for parity in (1, -1):
+            cfg = dataclasses.replace(m1, eve=eve, detection_parity=parity)
+            angle = eve.fixed_angle
+            attacked = menu_attack_rates(SPEC, MENU, eve_angle=angle, guess_from_menu=angle is None, noise_p=p)
+            clean = menu_attack_rates(SPEC, MENU, noise_p=p)
+            cases.append((cfg, clean.by_class[parity], attacked.by_class[parity]))
+    for eve in (EveStrategy.none(), EveStrategy.intercept_resend_a(2.2)):
+        for preference in (1, -1):
+            cfg = dataclasses.replace(m2, eve=eve, bob_parity_preference=preference)
+            angle = eve.fixed_angle if eve.fixed_angle is not None else 0.0
+            r0 = continuous_attack_rate(SPEC, preference, noise_p=p)
+            r1 = continuous_attack_rate(SPEC, preference, eve_angle=angle, noise_p=p)
+            cases.append((cfg, r0, r1))
+    for cfg, r0, r1 in cases:
+        assert r0 == pytest.approx((1 - (1 - p) ** 2) / 2, abs=1e-12)
+        assert calibrate_threshold(cfg) == pytest.approx(0.5 * (r0 + r1), abs=1e-12)
 
 
 def test_calibrate_threshold_method1_with_menu():
@@ -374,23 +411,14 @@ def test_calibrate_threshold_method1_with_menu():
         noise=NoiseModel.depolarizing(0.02),
         eve=EveStrategy.intercept_resend_a(),
     )
-    threshold = calibrate_threshold(cfg, n_cal=1500)
+    threshold = calibrate_threshold(cfg)
     r1 = menu_attack_rates(SPEC, MENU, guess_from_menu=True, noise_p=0.02).by_class[1]
     assert 0.0 < threshold < r1
 
 
-def test_menu_monte_carlo_matches_exact_rates():
-    v, n = monte_carlo_menu_rate(
-        SPEC, MENU, parity_class=1, guess_from_menu=True, n_rounds=6000, seed=3
-    )
-    oracle = menu_attack_rates(SPEC, MENU, guess_from_menu=True).by_class[1]
-    assert n > 0
-    assert abs(v / n - oracle) <= 4 * _sigma(oracle, n)
-
-
 def test_eve_strategy_validation():
     with pytest.raises(ValueError):
-        EveStrategy(EveKind.INTERCEPT_RESEND_A, AnglePolicy.FIXED_ANGLE, None)
+        EveStrategy(EveKind.INTERCEPT_RESEND_A, math.nan)
     s = EveStrategy.intercept_resend_a(-math.pi / 2)
     assert s.fixed_angle == pytest.approx(3 * math.pi / 2)  # normalized
     assert EveStrategy.none().kind is EveKind.NONE

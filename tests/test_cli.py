@@ -264,6 +264,11 @@ def test_usage_errors_exit_one(capsys):
     assert main([]) == EXIT_ERROR
     assert main(["simulate", "--method", "9"]) == EXIT_ERROR
     assert main(["simulate", "--menu", "0,pi/2"]) == EXIT_ERROR
+    sweep = ["sweep", "--variable", "eve-angle", "--seed", "1"]
+    for bad in (["--mc-rounds", "0"], ["--mc-rounds", "-3"], ["--noise-p", "-0.5"], ["--noise-p", "1.5"]):
+        assert main([*sweep, *bad]) == EXIT_ERROR
+    for bad in ("-0.1", "1.5", "nan"):
+        assert main(["simulate", "--menu", "0,pi/2,pi", "--noise-p", bad, "--seed", "1"]) == EXIT_ERROR
     capsys.readouterr()
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ghzkd.adversary import EveKind, EveStrategy, NoiseModel, Verdict
+from ghzkd.adversary import EveStrategy, NoiseModel, Verdict
 from ghzkd.core import Mode, MeasurementSetting, joint_outcome_distribution
 from ghzkd.ghz import GhzSpec, compatible_outcomes, ghz_state, super_classical_triples
 from ghzkd.protocol import (
@@ -106,18 +106,11 @@ def test_config_validation():
         _m1(max_rounds=4, key_length=8)
     with pytest.raises(ConfigError):
         _m2(bob_parity_preference=0)
+    with pytest.raises(ConfigError, match="guessing from the menu needs a configured menu"):
+        _m2(eve=EveStrategy.intercept_resend_a())
     cfg = _m1(key_length=16)
     assert cfg.max_rounds == 16 * 8
     assert _m2(key_length=16).max_rounds == 16
-
-
-def test_match_alice_rejected_at_run_time():
-    from ghzkd.adversary import AnglePolicy
-
-    eve = EveStrategy(EveKind.INTERCEPT_RESEND_A, AnglePolicy.MATCH_ALICE)
-    cfg = _m1(key_length=4, eve=eve)
-    with pytest.raises(ConfigError, match="analysis"):
-        run_method1(cfg)
 
 
 def test_method_mismatch_rejected():
