@@ -372,7 +372,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, KeyExhausted, ValueError) as exc:
+    except (ConfigError, KeyExhausted, ValueError, OSError) as exc:
+        # OSError: an --output path that cannot be written.
         print(f"ghzkd: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

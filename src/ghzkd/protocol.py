@@ -10,8 +10,12 @@ travels through the XOR pipeline D = A xor K, E = D xor C, K = E xor B
 (complemented when the round parity is -1).
 
 Randomness discipline: every round derives independent substreams from
-(seed, domain, round index, role), so round results do not depend on
-execution order and identical seeds reproduce sessions bit for bit.
+(seed, run, domain, round index, role), so round results do not depend on
+execution order and identical seeds reproduce sessions bit for bit.  The
+streams are numpy's ``default_rng(SeedSequence(...))``, unchanged, but the
+angle and measurement streams, which each give one draw, are derived for a
+whole batch of rounds at once by ``streams``; ``tests/test_streams.py`` pins
+that module to numpy's SeedSequence, PCG64 and Lemire algorithms.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import streams
 from .adversary import (
     DetectionReport,
     EveKind,
@@ -33,8 +39,12 @@ from .adversary import (
     detection_report_to_dict,
     eve_intercept_resend,
 )
-from .core import Mode, MeasurementSetting, normalize_angle, sample_joint
-from .ghz import GhzSpec, ghz_state, is_super_classical, solve_bob_phase
+from .core import OUTCOME_TRIPLES, Mode, MeasurementSetting, _joint_probs, normalize_angle
+
+# Rounds no longer call ``sample_joint``; the name stays importable here
+# because bench/spans.py traces ``protocol.sample_joint``.
+from .core import sample_joint  # noqa: F401
+from .ghz import GhzSpec, ghz_state, is_super_classical, menu_quality, solve_bob_phase
 from .transcript import SESSION_SCOPE, PublicMessage, RoundRecord, Transcript
 
 
@@ -59,6 +69,9 @@ _ROLE_ALICE, _ROLE_BOB, _ROLE_CHARLIE, _ROLE_NOISE, _ROLE_EVE, _ROLE_MEASURE = r
 #: Method 1 keeps an 8x round budget per key bit by default; retention above
 #: one third makes exhaustion a multi-sigma fluke at that multiplier.
 MAX_ROUNDS_FACTOR_METHOD1 = 8
+
+#: Most rounds played in one batch; bounds a long session's working memory.
+_MAX_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -172,8 +185,7 @@ def recover_alice_bit(k: int, d: int) -> int:
 # Round physics
 
 
-@dataclass(frozen=True)
-class _RoundPhysics:
+class _RoundPhysics(NamedTuple):
     phi_a: float
     phi_b: float
     phi_c: float
@@ -186,45 +198,85 @@ def _round_rng(base: tuple[int, int], index: int, role: int) -> np.random.Genera
     return np.random.default_rng(np.random.SeedSequence(base + (_ROUND_DOMAIN, index, role)))
 
 
-def _play_round_physics(config: ProtocolConfig, base: tuple[int, int], index: int) -> _RoundPhysics:
-    """One round's physics, self-contained: angle draws, transit, measurement.
+def _menu_picks(base: tuple[int, int], start: int, role: int, heads: np.ndarray) -> np.ndarray:
+    """Each round's ``_round_rng(base, index, role).integers(3)``, from its stream head.
 
-    Depends only on (config, base entropy, round index), never on other
-    rounds, so rounds can be replayed or evaluated in any order.
+    Where numpy's Lemire rule would reject the first draw (odds 2**-32) the
+    round asks its real generator instead.
+    """
+    picks, rejected = streams.integers3(heads)
+    for j in np.flatnonzero(rejected):
+        picks[j] = _round_rng(base, start + int(j), role).integers(3)
+    return picks
+
+
+def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop: int) -> list[_RoundPhysics]:
+    """The physics of rounds ``start`` to ``stop - 1``: angle draws, transit, measurement.
+
+    Each round reads only its own streams, so a round's result depends on
+    (config, base entropy, round index) alone, never on the batch it is
+    played in or on other rounds.  The angle and measurement streams take
+    one draw each and are derived for the whole batch at once; noise and Eve
+    take a varying number of draws from per-round generators.  The Born
+    probabilities of the untouched prepared state are computed once per
+    settings triple.
     """
     if config.method is Method.METHOD1:
-        menu = config.menu
-        phi_a = menu[_round_rng(base, index, _ROLE_ALICE).integers(3)]
-        phi_b = menu[_round_rng(base, index, _ROLE_BOB).integers(3)]
-        phi_c = menu[_round_rng(base, index, _ROLE_CHARLIE).integers(3)]
-        parity = is_super_classical(config.spec, (phi_a, phi_b, phi_c))
-    elif config.method2_menu_angles:
-        menu = config.menu
-        phi_a = menu[_round_rng(base, index, _ROLE_ALICE).integers(3)]
-        phi_c = menu[_round_rng(base, index, _ROLE_CHARLIE).integers(3)]
-        phi_b = solve_bob_phase(config.spec, phi_a, phi_c, config.bob_parity_preference)
-        parity = config.bob_parity_preference
+        roles = (_ROLE_ALICE, _ROLE_BOB, _ROLE_CHARLIE)
     else:
-        phi_a = _round_rng(base, index, _ROLE_ALICE).uniform(0.0, 2.0 * math.pi)
-        phi_c = _round_rng(base, index, _ROLE_CHARLIE).uniform(0.0, 2.0 * math.pi)
-        phi_b = solve_bob_phase(config.spec, phi_a, phi_c, config.bob_parity_preference)
-        parity = config.bob_parity_preference
+        roles = (_ROLE_ALICE, _ROLE_CHARLIE)
+    indices = np.arange(start, stop, dtype=np.uint64)
+    heads = streams.stream_heads(base + (_ROUND_DOMAIN,), indices, roles + (_ROLE_MEASURE,))
+    u = streams.random(heads[-1])
+    if config.method is Method.METHOD1 or config.method2_menu_angles:
+        picks = (_menu_picks(base, start, role, h).tolist() for role, h in zip(roles, heads))
+        drawn = [[config.menu[k] for k in p] for p in picks]
+    else:
+        drawn = [streams.uniform_2pi(h).tolist() for h in heads[:-1]]
+    if config.method is Method.METHOD1:
+        angles = list(zip(*drawn))
+        parity_of = {triple: is_super_classical(config.spec, triple) for triple in set(angles)}
+    else:
+        pref = config.bob_parity_preference
+        angles = [(a, solve_bob_phase(config.spec, a, c, pref), c) for a, c in zip(*drawn)]
+        parity_of = dict.fromkeys(angles, pref)
 
-    state = ghz_state(config.spec)
-    if config.noise.kind is not NoiseKind.NONE:
-        noise_rng = _round_rng(base, index, _ROLE_NOISE)
-        state = apply_noise(state, 1, config.noise, noise_rng)  # particle a in transit
-        state = apply_noise(state, 3, config.noise, noise_rng)  # particle c in transit
-    if config.eve.kind is EveKind.INTERCEPT_RESEND_A:
-        eve_rng = _round_rng(base, index, _ROLE_EVE)
-        eve_angle = config.eve.fixed_angle
-        if eve_angle is None:
-            eve_angle = config.menu[eve_rng.integers(3)]
-        state, _ = eve_intercept_resend(state, eve_angle, eve_rng, config.mode)
+    def settings(triple):
+        return tuple(MeasurementSetting(config.mode, p) for p in triple)
 
-    settings = tuple(MeasurementSetting(config.mode, p) for p in (phi_a, phi_b, phi_c))
-    outcomes = sample_joint(state, settings, _round_rng(base, index, _ROLE_MEASURE))
-    return _RoundPhysics(phi_a, phi_b, phi_c, parity is not None, parity, outcomes)
+    prepared = ghz_state(config.spec)
+    prepared_probs, probs = {}, []
+    for index, triple in zip(range(start, stop), angles):
+        state = prepared
+        if config.noise.kind is not NoiseKind.NONE:
+            noise_rng = _round_rng(base, index, _ROLE_NOISE)
+            state = apply_noise(state, 1, config.noise, noise_rng)  # particle a in transit
+            state = apply_noise(state, 3, config.noise, noise_rng)  # particle c in transit
+        if config.eve.kind is EveKind.INTERCEPT_RESEND_A:
+            eve_rng = _round_rng(base, index, _ROLE_EVE)
+            eve_angle = config.eve.fixed_angle
+            if eve_angle is None:
+                eve_angle = config.menu[eve_rng.integers(3)]
+            state, _ = eve_intercept_resend(state, eve_angle, eve_rng, config.mode)
+        if state is not prepared:
+            probs.append(_joint_probs(state, settings(triple)))
+            continue
+        if triple not in prepared_probs:
+            prepared_probs[triple] = _joint_probs(prepared, settings(triple))
+        probs.append(prepared_probs[triple])
+
+    # Inverse-CDF pick, as searchsorted(cumsum(probs), u, side="right") per round.
+    cum = np.cumsum(np.array(probs), axis=1)
+    ks = np.minimum((cum <= u[:, None]).sum(axis=1), 7).tolist()
+    return [
+        _RoundPhysics(*triple, parity_of[triple] is not None, parity_of[triple], OUTCOME_TRIPLES[k])
+        for triple, k in zip(angles, ks)
+    ]
+
+
+def _play_round_physics(config: ProtocolConfig, base: tuple[int, int], index: int) -> _RoundPhysics:
+    """One round's physics, self-contained; the one-round view of ``_play_rounds``."""
+    return _play_rounds(config, base, index, index + 1)[0]
 
 
 # --------------------------------------------------------------------------
@@ -259,47 +311,56 @@ def _run_session(
     inferred: list[int] = []
     key_index = 0
     rounds_used = 0
-    for index in range(config.max_rounds):
-        if key_index >= config.key_length:
-            break
-        ph = _play_round_physics(config, base, index)
-        rounds_used += 1
-        log.append(PublicMessage(index, "alice", "angle", ph.phi_a))
-        log.append(PublicMessage(index, "charlie", "angle", ph.phi_c))
-        record = RoundRecord(
-            index=index,
-            phi_a=ph.phi_a,
-            phi_b=ph.phi_b,
-            phi_c=ph.phi_c,
-            retained=ph.retained,
-            outcome_a=ph.outcomes[0],
-            outcome_b=ph.outcomes[1],
-            outcome_c=ph.outcomes[2],
-            parity=ph.parity,
-        )
-        if not ph.retained:
-            log.append(PublicMessage(index, "bob", "discard", True))
-            transcript.rounds.append(record)
-            continue
+    # Rounds are played in batches sized to the key bits still missing at the
+    # menu's exact retention, so few rounds are computed past the last one used.
+    retention = menu_quality(config.menu, config.spec) if config.method is Method.METHOD1 else 1.0
+    start = 0
+    while key_index < config.key_length and start < config.max_rounds:
+        wanted = config.key_length - key_index
+        size = math.ceil(wanted / retention) if retention > 0 else _MAX_BATCH
+        stop = min(config.max_rounds, start + min(size, _MAX_BATCH))
+        for index, ph in enumerate(_play_rounds(config, base, start, stop), start):
+            if key_index >= config.key_length:
+                break
+            rounds_used += 1
+            log.append(PublicMessage(index, "alice", "angle", ph.phi_a))
+            log.append(PublicMessage(index, "charlie", "angle", ph.phi_c))
+            record = RoundRecord(
+                index=index,
+                phi_a=ph.phi_a,
+                phi_b=ph.phi_b,
+                phi_c=ph.phi_c,
+                retained=ph.retained,
+                outcome_a=ph.outcomes[0],
+                outcome_b=ph.outcomes[1],
+                outcome_c=ph.outcomes[2],
+                parity=ph.parity,
+            )
+            if not ph.retained:
+                log.append(PublicMessage(index, "bob", "discard", True))
+                transcript.rounds.append(record)
+                continue
 
-        key_bit = int(key_bits[key_index])
-        key_index += 1
-        a_bit, b_bit, c_bit = (bit_of(r) for r in ph.outcomes)
-        d_bit = encode_bit(a_bit, key_bit)
-        e_bit = d_bit ^ c_bit
-        k_rec = recover_key_bit(d_bit, c_bit, b_bit, ph.parity)
-        recovered.append(k_rec)
-        inferred.append(recover_alice_bit(k_rec, d_bit))
-        # Detection compares the sender's reconstructed bit (true key xor D)
-        # against the deterministic parity; with the recovered key instead,
-        # the check would hold identically and see nothing.
-        a_check = recover_alice_bit(key_bit, d_bit)
-        parity_bit = 0 if ph.parity == 1 else 1
-        record.d_bit, record.c_bit, record.e_bit, record.b_bit = d_bit, c_bit, e_bit, b_bit
-        record.violation = (a_check ^ b_bit ^ c_bit) != parity_bit
-        log.append(PublicMessage(index, "alice", "d_bit", d_bit))
-        log.append(PublicMessage(index, "charlie", "c_bit", c_bit))
-        transcript.rounds.append(record)
+            key_bit = int(key_bits[key_index])
+            key_index += 1
+            a_bit, b_bit, c_bit = (bit_of(r) for r in ph.outcomes)
+            d_bit = encode_bit(a_bit, key_bit)
+            e_bit = d_bit ^ c_bit
+            k_rec = recover_key_bit(d_bit, c_bit, b_bit, ph.parity)
+            recovered.append(k_rec)
+            inferred.append(recover_alice_bit(k_rec, d_bit))
+            # Detection compares the sender's reconstructed bit (true key xor D)
+            # against the deterministic parity; with the recovered key instead,
+            # the check would hold identically and see nothing.
+            a_check = recover_alice_bit(key_bit, d_bit)
+            parity_bit = 0 if ph.parity == 1 else 1
+            record.d_bit, record.c_bit, record.e_bit, record.b_bit = d_bit, c_bit, e_bit, b_bit
+            record.violation = (a_check ^ b_bit ^ c_bit) != parity_bit
+            log.append(PublicMessage(index, "alice", "d_bit", d_bit))
+            log.append(PublicMessage(index, "charlie", "c_bit", c_bit))
+            transcript.rounds.append(record)
+
+        start = stop
 
     if key_index < config.key_length:
         raise KeyExhausted(

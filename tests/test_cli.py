@@ -1,7 +1,9 @@
 """Command-line contract: exit codes, determinism, redaction, output formats."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -270,9 +272,146 @@ def test_usage_errors_exit_one(capsys):
     for bad in ("-0.1", "1.5", "nan"):
         assert main(["simulate", "--menu", "0,pi/2,pi", "--noise-p", bad, "--seed", "1"]) == EXIT_ERROR
     capsys.readouterr()
+    # An --output that cannot be written is an error, not a traceback.
+    here = Path(__file__).resolve().parent
+    for path in (here / "no-such-dir" / "x.json", here):
+        simulate = ["simulate", "--method", "2", "--key-length", "4", "--seed", "1", "--output", str(path)]
+        assert main(simulate) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("ghzkd: error: ")
 
 
 def test_stdout_when_no_output_path(capsys):
     code = main(["expectation", "--phases", "0,0,0"])
     assert code == EXIT_CLEAN
     assert "analytic = -1" in capsys.readouterr().out
+
+
+# --------------------------------------------------------------------------
+# golden bytes
+
+_GOLDEN_ADVERSARIES = {
+    "none": (),
+    "noise": ("--noise-p", "0.1"),
+    "guess": ("--eve", "intercept-a"),
+    "fixed": ("--eve", "intercept-a", "--eve-angle", "0.3", "--noise-p", "0.05"),
+}
+
+#: ``ghzkd simulate --key-length 64 --reveal-secret`` per method, menu (none or
+#: 0,pi/2,pi), adversary, format and seed: exit code and the first 16 hex
+#: digits of the sha256 of stdout.  Recorded with the one-round-at-a-time
+#: engine that drew every stream from its own numpy generator; batching the
+#: rounds must not change a byte.  Exit 1 (method 1 or a guessing intercept
+#: without a menu) prints nothing.
+_GOLDEN = """
+1 - none json 1 1 e3b0c44298fc1c14
+1 - none json 21474836487 1 e3b0c44298fc1c14
+1 - none csv 1 1 e3b0c44298fc1c14
+1 - none csv 21474836487 1 e3b0c44298fc1c14
+1 - noise json 1 1 e3b0c44298fc1c14
+1 - noise json 21474836487 1 e3b0c44298fc1c14
+1 - noise csv 1 1 e3b0c44298fc1c14
+1 - noise csv 21474836487 1 e3b0c44298fc1c14
+1 - guess json 1 1 e3b0c44298fc1c14
+1 - guess json 21474836487 1 e3b0c44298fc1c14
+1 - guess csv 1 1 e3b0c44298fc1c14
+1 - guess csv 21474836487 1 e3b0c44298fc1c14
+1 - fixed json 1 1 e3b0c44298fc1c14
+1 - fixed json 21474836487 1 e3b0c44298fc1c14
+1 - fixed csv 1 1 e3b0c44298fc1c14
+1 - fixed csv 21474836487 1 e3b0c44298fc1c14
+1 menu none json 1 0 22be6515782433c9
+1 menu none json 21474836487 0 118d6ab2315daf84
+1 menu none csv 1 0 bcec5c321375140f
+1 menu none csv 21474836487 0 355e78c81dc0065a
+1 menu noise json 1 0 221eb6be790f789e
+1 menu noise json 21474836487 0 1ed812df0712c8d0
+1 menu noise csv 1 0 e10fd4ee75735fc3
+1 menu noise csv 21474836487 0 6c373247700061db
+1 menu guess json 1 2 73a681b6118eee6b
+1 menu guess json 21474836487 0 bb615311fac31cfc
+1 menu guess csv 1 2 29ae7ff6f3ebb357
+1 menu guess csv 21474836487 0 73fa085ae1b02956
+1 menu fixed json 1 2 48c963f7a2025548
+1 menu fixed json 21474836487 2 d34c0c9a14486ad5
+1 menu fixed csv 1 2 6ccad7dc14af3e55
+1 menu fixed csv 21474836487 2 12d262161341192d
+2 - none json 1 0 1cd8585eabfb8588
+2 - none json 21474836487 0 9c648381ac597699
+2 - none csv 1 0 57fb1aa9a670fa5b
+2 - none csv 21474836487 0 de119382fba2d385
+2 - noise json 1 0 a1b4d60cbca11972
+2 - noise json 21474836487 0 ba55aa28e555258b
+2 - noise csv 1 0 ff37f9e627e8f6f4
+2 - noise csv 21474836487 0 1966c730838d2ac1
+2 - guess json 1 1 e3b0c44298fc1c14
+2 - guess json 21474836487 1 e3b0c44298fc1c14
+2 - guess csv 1 1 e3b0c44298fc1c14
+2 - guess csv 21474836487 1 e3b0c44298fc1c14
+2 - fixed json 1 2 c87c96ae95114d8f
+2 - fixed json 21474836487 2 e0c0a296ccd9856b
+2 - fixed csv 1 2 22bb07a147f5ab22
+2 - fixed csv 21474836487 2 cc8852b79234f92d
+2 menu none json 1 0 1cd8585eabfb8588
+2 menu none json 21474836487 0 9c648381ac597699
+2 menu none csv 1 0 57fb1aa9a670fa5b
+2 menu none csv 21474836487 0 de119382fba2d385
+2 menu noise json 1 0 a1b4d60cbca11972
+2 menu noise json 21474836487 0 ba55aa28e555258b
+2 menu noise csv 1 0 ff37f9e627e8f6f4
+2 menu noise csv 21474836487 0 1966c730838d2ac1
+2 menu guess json 1 2 f11a12cc92037dd9
+2 menu guess json 21474836487 2 5a9ff619cf1e9f61
+2 menu guess csv 1 2 05397c54f20b51f5
+2 menu guess csv 21474836487 2 6e08c00cbe215bce
+2 menu fixed json 1 2 c87c96ae95114d8f
+2 menu fixed json 21474836487 2 e0c0a296ccd9856b
+2 menu fixed csv 1 2 22bb07a147f5ab22
+2 menu fixed csv 21474836487 2 cc8852b79234f92d
+3party - none json 1 0 6a8d2f6adf3bcd6a
+3party - none json 21474836487 0 52dcb691ca3e55f0
+3party - none csv 1 0 69742112db1cae95
+3party - none csv 21474836487 0 652c27d0c64d8819
+3party - noise json 1 0 b111593785055014
+3party - noise json 21474836487 0 38469394f8a712ae
+3party - noise csv 1 0 43a8190b121420cf
+3party - noise csv 21474836487 0 58226ded07bb31a9
+3party - guess json 1 1 e3b0c44298fc1c14
+3party - guess json 21474836487 1 e3b0c44298fc1c14
+3party - guess csv 1 1 e3b0c44298fc1c14
+3party - guess csv 21474836487 1 e3b0c44298fc1c14
+3party - fixed json 1 2 0cc39737d427c5c2
+3party - fixed json 21474836487 2 a54df03fc87b33fe
+3party - fixed csv 1 2 09812cc0f9a66d1b
+3party - fixed csv 21474836487 2 514bda3d2c7bcf51
+3party menu none json 1 0 77e1f1eeaa057f80
+3party menu none json 21474836487 0 4d97de3335337922
+3party menu none csv 1 0 b0fda64c72ed34c3
+3party menu none csv 21474836487 0 0e097f2c55347856
+3party menu noise json 1 0 da52d188afeb9727
+3party menu noise json 21474836487 0 4ababdaa502334e4
+3party menu noise csv 1 0 de79fee7c6a135b1
+3party menu noise csv 21474836487 0 6b9feea07937b07e
+3party menu guess json 1 2 6ab8f89955329178
+3party menu guess json 21474836487 2 43d0435ac6e47cac
+3party menu guess csv 1 2 8b4db31d8f1dad44
+3party menu guess csv 21474836487 2 eea9508c32351e1f
+3party menu fixed json 1 2 48dc14e4a107d402
+3party menu fixed json 21474836487 2 bb15c2c93dc658e1
+3party menu fixed csv 1 2 4cdaa0903cba1828
+3party menu fixed csv 21474836487 2 84c73e571779f666
+"""
+
+
+def test_simulate_output_bytes_are_pinned(capsys):
+    mismatches = []
+    for line in _GOLDEN.strip().splitlines():
+        method, menu, adversary, fmt, seed, code, digest = line.split()
+        argv = ["simulate", "--method", method, "--format", fmt, "--seed", seed]
+        argv += ["--key-length", "64", "--reveal-secret"]
+        argv += ["--menu", "0,pi/2,pi"] if menu == "menu" else []
+        argv += _GOLDEN_ADVERSARIES[adversary]
+        got_code = main(argv)
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+        if (got_code, got) != (int(code), digest):
+            mismatches.append(line)
+    assert not mismatches

@@ -7,9 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from ghzkd.adversary import EveStrategy, NoiseModel, Verdict
-from ghzkd.core import Mode, MeasurementSetting, joint_outcome_distribution
-from ghzkd.ghz import GhzSpec, compatible_outcomes, ghz_state, super_classical_triples
+from ghzkd.adversary import EveKind, EveStrategy, NoiseModel, Verdict, apply_noise, eve_intercept_resend
+from ghzkd.core import Mode, MeasurementSetting, joint_outcome_distribution, sample_joint
+from ghzkd.ghz import (
+    GhzSpec,
+    compatible_outcomes,
+    ghz_state,
+    is_super_classical,
+    solve_bob_phase,
+    super_classical_triples,
+)
 from ghzkd.protocol import (
     ConfigError,
     KeyExhausted,
@@ -242,6 +249,73 @@ def test_round_physics_independent_of_execution_order():
         assert (ph.phi_a, ph.phi_b, ph.phi_c) == (record.phi_a, record.phi_b, record.phi_c)
         assert ph.outcomes == (record.outcome_a, record.outcome_b, record.outcome_c)
         assert ph.retained == record.retained
+
+
+def _scalar_round(cfg, base, index):
+    """Reference engine: one round at a time, each stream from its own generator."""
+
+    def rng(role):
+        return np.random.default_rng(np.random.SeedSequence(base + (1, index, role)))
+
+    if cfg.method is Method.METHOD1:
+        phi_a, phi_b, phi_c = (cfg.menu[rng(role).integers(3)] for role in (0, 1, 2))
+        parity = is_super_classical(cfg.spec, (phi_a, phi_b, phi_c))
+    else:
+        if cfg.method2_menu_angles:
+            phi_a, phi_c = (cfg.menu[rng(role).integers(3)] for role in (0, 2))
+        else:
+            phi_a, phi_c = (rng(role).uniform(0.0, 2.0 * math.pi) for role in (0, 2))
+        phi_b = solve_bob_phase(cfg.spec, phi_a, phi_c, cfg.bob_parity_preference)
+        parity = cfg.bob_parity_preference
+    state = ghz_state(cfg.spec)
+    if cfg.noise.p > 0:
+        noise_rng = rng(3)
+        state = apply_noise(state, 1, cfg.noise, noise_rng)
+        state = apply_noise(state, 3, cfg.noise, noise_rng)
+    if cfg.eve.kind is EveKind.INTERCEPT_RESEND_A:
+        eve_rng = rng(4)
+        eve_angle = cfg.eve.fixed_angle if cfg.eve.fixed_angle is not None else cfg.menu[eve_rng.integers(3)]
+        state, _ = eve_intercept_resend(state, eve_angle, eve_rng, cfg.mode)
+    settings = tuple(MeasurementSetting(cfg.mode, p) for p in (phi_a, phi_b, phi_c))
+    outcomes = sample_joint(state, settings, rng(5))
+    return (phi_a, phi_b, phi_c), parity is not None, parity, outcomes
+
+
+_NOISY = NoiseModel.depolarizing(0.2)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _m1(key_length=40, seed=5 << 32 | 7, noise=_NOISY, eve=EveStrategy.intercept_resend_a(), threshold=1.0),
+        _m1(key_length=40, seed=2, spec=GhzSpec("+-+", 1), mode=Mode.POLARIZATION),
+        _m2(key_length=40, seed=3, noise=_NOISY, eve=EveStrategy.intercept_resend_a(0.3), threshold=1.0),
+        _m2(
+            key_length=40,
+            seed=2**64 + 1,
+            menu=MENU,
+            method2_menu_angles=True,
+            bob_parity_preference=-1,
+            noise=_NOISY,
+            eve=EveStrategy.intercept_resend_a(),
+            threshold=1.0,
+        ),
+    ],
+    ids=["method1-noise-eve", "method1-clean", "method2-noise-eve", "method2-menu-noise-eve"],
+)
+def test_round_records_match_the_scalar_reference_engine(cfg):
+    run = run_method1 if cfg.method is Method.METHOD1 else run_method2
+    _, transcript = run(cfg)
+    base = (cfg.seed, 1)
+    for record in transcript.rounds:
+        angles, retained, parity, outcomes = _scalar_round(cfg, base, record.index)
+        assert (record.phi_a, record.phi_b, record.phi_c) == angles
+        assert (record.retained, record.parity) == (retained, parity)
+        assert (record.outcome_a, record.outcome_b, record.outcome_c) == outcomes
+        assert all(type(x) is float for x in (record.phi_a, record.phi_b, record.phi_c))
+        ints = (record.index, record.outcome_a, record.outcome_b, record.outcome_c)
+        assert all(type(x) is int for x in ints)
+        assert record.parity is None or type(record.parity) is int
 
 
 # --------------------------------------------------------------------------
