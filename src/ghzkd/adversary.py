@@ -25,8 +25,10 @@ from .core import (
     MeasurementSetting,
     PRODUCT_BY_INDEX,
     TWO_PI,
+    _check_states,
     _joint_probs,
     _qubit_axis,
+    apply_1q_batch,
     measure_single,
     normalize_angle,
     project_single,
@@ -152,6 +154,10 @@ _PAULIS = (
 )
 
 
+#: The Paulis stacked, so an array of indices picks one per round.
+PAULI_STACK = np.stack(_PAULIS)
+
+
 def _apply_1q(state: np.ndarray, op: np.ndarray, qubit: int) -> np.ndarray:
     ax = _qubit_axis(qubit)
     t = state.reshape(2, 2, 2)
@@ -193,6 +199,25 @@ def eve_intercept_resend(
     setting = MeasurementSetting(mode, eve_angle)
     outcome, post = measure_single(state, 1, setting, rng)
     return post, EveInterceptRecord(setting.phase, outcome)
+
+
+def intercept_resend_batch(states: np.ndarray, bases: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``eve_intercept_resend`` for many rounds at once.
+
+    Row i measures particle a of ``states[i]`` (shape (n, 2, 2, 2)) in the
+    eigenbasis ``bases[i]`` (shape (n, 2, 2), +1 and -1 eigenvectors as
+    columns), takes outcome +1 when ``u[i]`` is below its Born probability,
+    as ``measure_single`` does with its draw, and returns the renormalized
+    collapsed states.
+    """
+    _check_states(states.reshape(len(states), 8))
+    rows = np.arange(len(states))
+    amps = apply_1q_batch(bases.conj().swapaxes(1, 2), states, 1)
+    probs = (np.abs(amps) ** 2).reshape(len(states), 2, 4).sum(axis=2)
+    branch = (u >= probs[:, 0]).astype(np.intp)
+    chi = bases[rows, :, branch]
+    norm = np.sqrt(probs[rows, branch])
+    return chi[:, :, None, None] * amps[rows, branch][:, None] / norm[:, None, None, None]
 
 
 def eve_impersonate_charlie(transcript: Transcript) -> list[dict]:

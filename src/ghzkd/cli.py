@@ -119,6 +119,21 @@ def _resolve_seed(args) -> int:
     return secrets.randbits(64)
 
 
+def _check_output(args) -> None:
+    """Fail before any work when ``--output`` cannot be opened for writing.
+
+    The probe opens for appending, so an existing file keeps its contents
+    until the run succeeds, and removes a file it had to create.
+    """
+    if not args.output:
+        return
+    existed = os.path.exists(args.output)
+    with open(args.output, "a"):
+        pass
+    if not existed:
+        os.remove(args.output)
+
+
 def _write_output(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", newline="") as fh:
@@ -371,6 +386,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_output(args)
         return args.func(args)
     except (ConfigError, KeyExhausted, ValueError, OSError) as exc:
         # OSError: an --output path that cannot be written.

@@ -12,10 +12,13 @@ travels through the XOR pipeline D = A xor K, E = D xor C, K = E xor B
 Randomness discipline: every round derives independent substreams from
 (seed, run, domain, round index, role), so round results do not depend on
 execution order and identical seeds reproduce sessions bit for bit.  The
-streams are numpy's ``default_rng(SeedSequence(...))``, unchanged, but the
-angle and measurement streams, which each give one draw, are derived for a
-whole batch of rounds at once by ``streams``; ``tests/test_streams.py`` pins
-that module to numpy's SeedSequence, PCG64 and Lemire algorithms.
+streams are numpy's ``default_rng(SeedSequence(...))``, unchanged, but a
+round reads at most three outputs of each (angles and measurement one,
+noise up to three, the eavesdropper up to two), and ``streams`` derives
+those for a whole batch of rounds at once; ``tests/test_streams.py`` pins
+that module to numpy's SeedSequence, PCG64 and Lemire algorithms.  Only a
+bounded integer that numpy's Lemire rule rejects (odds 2**-32) sends its
+round to a real numpy generator.
 """
 
 from __future__ import annotations
@@ -29,20 +32,32 @@ import numpy as np
 
 from . import streams
 from .adversary import (
+    PAULI_STACK,
     DetectionReport,
     EveKind,
     EveStrategy,
-    NoiseKind,
     NoiseModel,
-    apply_noise,
     detect,
     detection_report_to_dict,
-    eve_intercept_resend,
+    intercept_resend_batch,
 )
-from .core import OUTCOME_TRIPLES, Mode, MeasurementSetting, _joint_probs, normalize_angle
+from .core import (
+    OUTCOME_TRIPLES,
+    Mode,
+    MeasurementSetting,
+    _check_states,
+    apply_1q_batch,
+    eigenbases,
+    eigenbasis_for,
+    joint_probs_batch,
+    normalize_angle,
+    observables,
+)
 
-# Rounds no longer call ``sample_joint``; the name stays importable here
-# because bench/spans.py traces ``protocol.sample_joint``.
+# Rounds no longer call ``sample_joint``, ``apply_noise`` or
+# ``eve_intercept_resend``; the names stay importable here because
+# bench/spans.py traces them as ``protocol.<name>``.
+from .adversary import apply_noise, eve_intercept_resend  # noqa: F401
 from .core import sample_joint  # noqa: F401
 from .ghz import GhzSpec, ghz_state, is_super_classical, menu_quality, solve_bob_phase
 from .transcript import SESSION_SCOPE, PublicMessage, RoundRecord, Transcript
@@ -195,6 +210,7 @@ class _RoundPhysics(NamedTuple):
 
 
 def _round_rng(base: tuple[int, int], index: int, role: int) -> np.random.Generator:
+    """A round's stream as a real numpy generator, for a draw ``streams`` does not emulate."""
     return np.random.default_rng(np.random.SeedSequence(base + (_ROUND_DOMAIN, index, role)))
 
 
@@ -210,21 +226,85 @@ def _menu_picks(base: tuple[int, int], start: int, role: int, heads: np.ndarray)
     return picks
 
 
+def _transit_paulis(config: ProtocolConfig, base: tuple[int, int], indices: np.ndarray) -> np.ndarray:
+    """The Pauli (0 = I, 1 = X, 2 = Y, 3 = Z) transit noise puts on particles a and c, shape (2, n).
+
+    The draws of ``apply_noise`` on a and then c from each round's noise
+    stream: a particle is hit when ``random()`` is below p and then takes
+    ``integers(4)``.  After a hit on a, that bounded integer reads output 2's
+    low half and numpy keeps the high half for c's; c's ``random()`` is then
+    output 3.  With p = 0 nothing is drawn.
+    """
+    paulis = np.zeros((2, len(indices)), dtype=np.intp)
+    p = config.noise.p
+    if p == 0.0:
+        return paulis
+    out = streams.stream_outputs(base + (_ROUND_DOMAIN,), indices, (_ROLE_NOISE,), 3)[:, 0]
+    low, high = streams.halves(out)
+    hit_a = streams.random(out[0]) < p
+    hit_c = np.where(hit_a, streams.random(out[2]), streams.random(out[1])) < p
+    paulis[0, hit_a] = streams.integers4(low[1, hit_a])
+    paulis[1, hit_c] = streams.integers4(np.where(hit_a, high[1], low[2])[hit_c])
+    return paulis
+
+
+def _eve_draws(config: ProtocolConfig, base: tuple[int, int], start: int, indices: np.ndarray):
+    """Each round's intercept angle, as an index into the menu (0 for a fixed angle), and her draw.
+
+    A guessing eavesdropper takes ``integers(3)`` (output 1's low half) and
+    then ``random()`` (output 2); a fixed-angle one takes ``random()`` alone.
+    Where Lemire's rule would reject the guess the round asks its real
+    generator for both draws.
+    """
+    prefix = base + (_ROUND_DOMAIN,)
+    if config.eve.fixed_angle is not None:
+        head = streams.stream_heads(prefix, indices, (_ROLE_EVE,))[0]
+        return np.zeros(len(indices), dtype=np.intp), streams.random(head)
+    out = streams.stream_outputs(prefix, indices, (_ROLE_EVE,), 2)[:, 0]
+    guess, rejected = streams.integers3(out[0])
+    u = streams.random(out[1])
+    for j in np.flatnonzero(rejected):
+        rng = _round_rng(base, start + int(j), _ROLE_EVE)
+        guess[j], u[j] = rng.integers(3), rng.random()
+    return guess, u
+
+
+def _transit(config: ProtocolConfig, base: tuple[int, int], start: int, indices: np.ndarray, prepared: np.ndarray):
+    """The rounds whose state the channel changes, and their states after it, shape (m, 2, 2, 2).
+
+    Noise on particles a and c, then the intercept on a, as ``apply_noise``
+    and ``eve_intercept_resend`` play one round.
+    """
+    paulis = _transit_paulis(config, base, indices)
+    eve = config.eve.kind is EveKind.INTERCEPT_RESEND_A
+    rows = np.flatnonzero(paulis.any(axis=0) | eve)
+    states = np.broadcast_to(prepared, (len(rows), 2, 2, 2))
+    for qubit, k in ((1, paulis[0, rows]), (3, paulis[1, rows])):
+        states = apply_1q_batch(PAULI_STACK[k], states, qubit)
+    if eve:
+        guess, u = _eve_draws(config, base, start, indices)
+        angles = config.menu if config.eve.fixed_angle is None else (config.eve.fixed_angle,)
+        bases = np.stack([np.column_stack(eigenbasis_for(MeasurementSetting(config.mode, a))) for a in angles])
+        states = intercept_resend_batch(states, bases[guess[rows]], u[rows])
+    return rows, states
+
+
 def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop: int) -> list[_RoundPhysics]:
     """The physics of rounds ``start`` to ``stop - 1``: angle draws, transit, measurement.
 
     Each round reads only its own streams, so a round's result depends on
     (config, base entropy, round index) alone, never on the batch it is
-    played in or on other rounds.  The angle and measurement streams take
-    one draw each and are derived for the whole batch at once; noise and Eve
-    take a varying number of draws from per-round generators.  The Born
-    probabilities of the untouched prepared state are computed once per
-    settings triple.
+    played in or on other rounds.  Every stream's draws are derived for the
+    whole batch at once, and transit (noise on particles a and c, then the
+    intercept on a) and the Born probabilities are array operations over the
+    batch.  Rounds the channel leaves untouched share the prepared state's
+    probabilities once per distinct settings triple.
     """
     if config.method is Method.METHOD1:
         roles = (_ROLE_ALICE, _ROLE_BOB, _ROLE_CHARLIE)
     else:
         roles = (_ROLE_ALICE, _ROLE_CHARLIE)
+    n = stop - start
     indices = np.arange(start, stop, dtype=np.uint64)
     heads = streams.stream_heads(base + (_ROUND_DOMAIN,), indices, roles + (_ROLE_MEASURE,))
     u = streams.random(heads[-1])
@@ -241,32 +321,27 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
         angles = [(a, solve_bob_phase(config.spec, a, c, pref), c) for a, c in zip(*drawn)]
         parity_of = dict.fromkeys(angles, pref)
 
-    def settings(triple):
-        return tuple(MeasurementSetting(config.mode, p) for p in triple)
+    prepared = ghz_state(config.spec).reshape(2, 2, 2)
+    rows, states = _transit(config, base, start, indices, prepared)
+    touched = np.zeros(n, dtype=bool)
+    touched[rows] = True
 
-    prepared = ghz_state(config.spec)
-    prepared_probs, probs = {}, []
-    for index, triple in zip(range(start, stop), angles):
-        state = prepared
-        if config.noise.kind is not NoiseKind.NONE:
-            noise_rng = _round_rng(base, index, _ROLE_NOISE)
-            state = apply_noise(state, 1, config.noise, noise_rng)  # particle a in transit
-            state = apply_noise(state, 3, config.noise, noise_rng)  # particle c in transit
-        if config.eve.kind is EveKind.INTERCEPT_RESEND_A:
-            eve_rng = _round_rng(base, index, _ROLE_EVE)
-            eve_angle = config.eve.fixed_angle
-            if eve_angle is None:
-                eve_angle = config.menu[eve_rng.integers(3)]
-            state, _ = eve_intercept_resend(state, eve_angle, eve_rng, config.mode)
-        if state is not prepared:
-            probs.append(_joint_probs(state, settings(triple)))
-            continue
-        if triple not in prepared_probs:
-            prepared_probs[triple] = _joint_probs(prepared, settings(triple))
-        probs.append(prepared_probs[triple])
+    # Each untouched round reads the probabilities of the first untouched
+    # round with its settings triple.
+    owner = np.arange(n)
+    first = {}
+    for i in np.flatnonzero(~touched).tolist():
+        owner[i] = first.setdefault(angles[i], i)
+    kernel = np.concatenate([rows, np.array(list(first.values()), dtype=np.intp)])
+    states = np.concatenate([states, np.broadcast_to(prepared, (len(first), 2, 2, 2))])
+    _check_states(states.reshape(len(kernel), 8))
+    phases = [angles[i] for i in kernel.tolist()]
+    bases = eigenbases(observables(config.mode, phases)).reshape(len(kernel), 3, 2, 2)
+    probs = np.empty((n, 8))
+    probs[kernel] = joint_probs_batch(states, bases.swapaxes(0, 1))
 
     # Inverse-CDF pick, as searchsorted(cumsum(probs), u, side="right") per round.
-    cum = np.cumsum(np.array(probs), axis=1)
+    cum = np.cumsum(probs[owner], axis=1)
     ks = np.minimum((cum <= u[:, None]).sum(axis=1), 7).tolist()
     return [
         _RoundPhysics(*triple, parity_of[triple] is not None, parity_of[triple], OUTCOME_TRIPLES[k])

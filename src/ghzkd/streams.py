@@ -1,17 +1,20 @@
 """Batched derivation of the per-round random streams, bit for bit.
 
-A round's stream is ``default_rng(SeedSequence(entropy))`` and a round only
-ever takes one draw from it, which reads the stream's first 64-bit output.
-This module computes that first output for many entropy tuples at once,
-vectorised over numpy arrays: the ``SeedSequence`` pool mixing, its
-``generate_state(4, uint64)``, PCG64's seeding (``srandom``) and one LCG
-step with the XSL-RR output function (O'Neill, "PCG: A Family of Simple
-Fast Space-Efficient Statistically Good Algorithms for Random Number
-Generation", HMC-CS-2014-0905).  The 128-bit LCG runs on four 32-bit limbs.
+A round's stream is ``default_rng(SeedSequence(entropy))`` and a round
+takes at most three 64-bit outputs from it.  This module computes the first
+outputs for many entropy tuples at once, vectorised over numpy arrays: the
+``SeedSequence`` pool mixing, its ``generate_state(4, uint64)``, PCG64's
+seeding (``srandom``) and the LCG steps with the XSL-RR output function
+(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation", HMC-CS-2014-0905).  The 128-bit
+LCG runs on four 32-bit limbs.
 
-The draws below reproduce ``Generator.integers(3)``, ``random()`` and
-``uniform(0, 2*pi)`` on a fresh generator from that first output.
-``tests/test_streams.py`` pins all of it to numpy's own implementation.
+The draws below reproduce ``Generator.integers(3)``, ``integers(4)``,
+``random()`` and ``uniform(0, 2*pi)`` from those outputs.  ``random()``
+reads a whole output; a bounded integer reads one 32-bit half, and numpy
+hands out the low half first and keeps the high half for the next bounded
+integer.  ``tests/test_streams.py`` pins all of it to numpy's own
+implementation.
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = _U32(0xCA01F9DD), _U32(0x4973F715)
 _XSHIFT = _U32(16)
 
-# PCG64: seeding steps the LCG twice and the first draw once more, so the
-# state behind the first output is seed * M^2 + inc * (M^2 + M + 1).
+# PCG64: seeding steps the LCG twice and every output once more, so the
+# state behind output k (from 1) is seed * M^(k+1) + inc * (M^(k+1) + ... + M + 1).
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_SEED_FACTOR = _PCG_MULT * _PCG_MULT % (1 << 128)
-_INC_FACTOR = (_SEED_FACTOR + _PCG_MULT + 1) % (1 << 128)
+_MAX_OUTPUTS = 3
+_OUTPUT_FACTORS = tuple(
+    (pow(_PCG_MULT, k + 1, 1 << 128), sum(pow(_PCG_MULT, j, 1 << 128) for j in range(k + 2)) % (1 << 128))
+    for k in range(1, _MAX_OUTPUTS + 1)
+)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -103,8 +109,8 @@ def _mul_add(terms) -> list[np.ndarray]:
     return out
 
 
-def _first_outputs(words: list[np.ndarray]) -> np.ndarray:
-    """First ``next64`` of ``PCG64(SeedSequence(entropy))`` for each column of entropy words.
+def _outputs(words: list[np.ndarray], count: int) -> np.ndarray:
+    """The first ``count`` ``next64`` of ``PCG64(SeedSequence(entropy))``, shape (count, streams).
 
     ``words[k]`` holds the k-th uint32 entropy word of every stream, so all
     streams of one call share a word count.
@@ -115,21 +121,28 @@ def _first_outputs(words: list[np.ndarray]) -> np.ndarray:
     seq = [s[6], s[7], s[4], s[5]]
     inc = [((seq[0] << 1) | 1) & _MASK32]
     inc += [((seq[k] << 1) | (seq[k - 1] >> 31)) & _MASK32 for k in (1, 2, 3)]
-    x = _mul_add(((seed, _SEED_FACTOR), (inc, _INC_FACTOR)))
-    lo, hi = x[0] | (x[1] << 32), x[2] | (x[3] << 32)
-    folded, rot = lo ^ hi, x[3] >> 26
-    return (folded >> rot) | (folded << ((np.uint64(64) - rot) & np.uint64(63)))
+    out = np.empty((count, len(seed[0])), dtype=np.uint64)
+    for k, (seed_factor, inc_factor) in enumerate(_OUTPUT_FACTORS[:count]):
+        x = _mul_add(((seed, seed_factor), (inc, inc_factor)))
+        lo, hi = x[0] | (x[1] << 32), x[2] | (x[3] << 32)
+        folded, rot = lo ^ hi, x[3] >> 26
+        out[k] = (folded >> rot) | (folded << ((np.uint64(64) - rot) & np.uint64(63)))
+    return out
 
 
-def stream_heads(prefix: tuple[int, ...], indices: np.ndarray, suffixes: tuple[int, ...]) -> np.ndarray:
-    """First outputs of the streams ``prefix + (index, suffix)``, one row per suffix.
+def stream_outputs(
+    prefix: tuple[int, ...], indices: np.ndarray, suffixes: tuple[int, ...], count: int
+) -> np.ndarray:
+    """The first ``count`` (at most 3) outputs of the streams ``prefix + (index, suffix)``.
 
-    Every suffix must be below 2**32 (one entropy word); indices may be any
-    uint64.
+    The result has shape (count, len(suffixes), len(indices)).  Every suffix
+    must be below 2**32 (one entropy word); indices may be any uint64.
     """
+    if not 1 <= count <= _MAX_OUTPUTS:
+        raise ValueError(f"count must be in 1..{_MAX_OUTPUTS}, got {count}")
     indices = np.asarray(indices, dtype=np.uint64)
     n = len(indices)
-    out = np.empty((len(suffixes), n), dtype=np.uint64)
+    out = np.empty((count, len(suffixes), n), dtype=np.uint64)
     wide = indices > _MASK32
     for sel, index_words in ((~wide, (indices,)), (wide, (indices & _MASK32, indices >> 32))):
         m = int(np.count_nonzero(sel))
@@ -137,8 +150,13 @@ def stream_heads(prefix: tuple[int, ...], indices: np.ndarray, suffixes: tuple[i
             words = [np.full(m * len(suffixes), w, dtype=np.uint64) for p in prefix for w in _uint32_words(p)]
             words += [np.tile(w[sel], len(suffixes)) for w in index_words]
             words.append(np.repeat(np.asarray(suffixes, dtype=np.uint64), m))
-            out[:, sel] = _first_outputs(words).reshape(len(suffixes), m)
+            out[:, :, sel] = _outputs(words, count).reshape(count, len(suffixes), m)
     return out
+
+
+def stream_heads(prefix: tuple[int, ...], indices: np.ndarray, suffixes: tuple[int, ...]) -> np.ndarray:
+    """First outputs of the streams ``prefix + (index, suffix)``, one row per suffix."""
+    return stream_outputs(prefix, indices, suffixes, 1)[0]
 
 
 def integers3(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,6 +168,20 @@ def integers3(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     lo = heads & np.uint64(_MASK32)
     return ((lo * np.uint64(3)) >> np.uint64(32)).astype(np.int64), lo == 0
+
+
+def integers4(words: np.ndarray) -> np.ndarray:
+    """``Generator.integers(4)`` from the 32-bit word it reads (see ``halves``).
+
+    Lemire's ``(w * 4) >> 32`` is the word's top two bits, and it never
+    rejects because 4 divides 2**32.
+    """
+    return (words >> np.uint64(30)).astype(np.int64)
+
+
+def halves(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high 32-bit words of 64-bit outputs, in the order bounded integers read them."""
+    return outputs & np.uint64(_MASK32), outputs >> np.uint64(32)
 
 
 def random(heads: np.ndarray) -> np.ndarray:

@@ -280,6 +280,30 @@ def test_usage_errors_exit_one(capsys):
         assert capsys.readouterr().err.startswith("ghzkd: error: ")
 
 
+def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    from ghzkd import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --output was checked")
+
+    monkeypatch.setattr(cli, "calibrate_threshold", no_work)
+    monkeypatch.setattr(cli, "monte_carlo_violation_rate", no_work)
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    simulate = ["simulate", "--method", "2", "--key-length", "4096", "--noise-p", "0.05", "--seed", "1"]
+    sweep = ["sweep", "--variable", "noise-p", "--seed", "1"]
+    for argv in (simulate, sweep):
+        assert main([*argv, "--output", missing]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("ghzkd: error: ")
+    # A run that fails after the check leaves an existing file as it was and
+    # creates no new one.
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier run\n")
+    for path in (kept, fresh):
+        assert main(["simulate", "--key-length", "0", "--seed", "1", "--output", str(path)]) == EXIT_ERROR
+    assert kept.read_text() == "earlier run\n"
+    assert not fresh.exists()
+
+
 def test_stdout_when_no_output_path(capsys):
     code = main(["expectation", "--phases", "0,0,0"])
     assert code == EXIT_CLEAN
@@ -402,16 +426,32 @@ _GOLDEN = """
 """
 
 
+#: Full-size ``ghzkd simulate --method 2 --key-length 4096 --noise-p 0.05
+#: --reveal-secret --seed 1`` runs, noise only and with a fixed-angle
+#: intercept: extra flags, exit code and sha256 prefix, recorded with
+#: per-round numpy generators for the noise and eavesdropper streams.
+_GOLDEN_FULL_SIZE = (
+    ((), 0, "080e400da9c2ffe9"),
+    (("--eve", "intercept-a", "--eve-angle", "1.234"), 2, "10712ceaff4a8916"),
+)
+
+
 def test_simulate_output_bytes_are_pinned(capsys):
-    mismatches = []
+    cases = []
     for line in _GOLDEN.strip().splitlines():
         method, menu, adversary, fmt, seed, code, digest = line.split()
         argv = ["simulate", "--method", method, "--format", fmt, "--seed", seed]
         argv += ["--key-length", "64", "--reveal-secret"]
         argv += ["--menu", "0,pi/2,pi"] if menu == "menu" else []
         argv += _GOLDEN_ADVERSARIES[adversary]
+        cases.append((argv, int(code), digest))
+    full_size = ["simulate", "--method", "2", "--key-length", "4096", "--noise-p", "0.05", "--reveal-secret"]
+    for extra, code, digest in _GOLDEN_FULL_SIZE:
+        cases.append(([*full_size, "--seed", "1", *extra], code, digest))
+    mismatches = []
+    for argv, code, digest in cases:
         got_code = main(argv)
         got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
-        if (got_code, got) != (int(code), digest):
-            mismatches.append(line)
+        if (got_code, got) != (code, digest):
+            mismatches.append(" ".join(argv))
     assert not mismatches

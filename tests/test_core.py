@@ -9,15 +9,20 @@ from ghzkd.core import (
     Mode,
     MeasurementSetting,
     OUTCOME_TRIPLES,
+    _check_states,
+    _joint_probs,
     born_probabilities,
+    eigenbases,
     eigenbasis,
     expectation,
     expectation_of_operator,
     joint_outcome_distribution,
     make_retarded_analyzer,
+    joint_probs_batch,
     make_spin_observable,
     measure_single,
     observable_for,
+    observables,
     polarization_analyzer,
     polarization_setting,
     project_single,
@@ -206,6 +211,43 @@ def test_joint_distribution_properties_random():
         # second, independent route to the expectation value
         via_probs = sum(t[0] * t[1] * t[2] * p for t, p in dist.items())
         assert expectation(state, settings) == pytest.approx(via_probs, abs=1e-10)
+
+
+def test_batched_kernel_matches_the_scalar_engine():
+    rng = np.random.default_rng(31)
+    for mode in Mode:
+        phases = np.concatenate([rng.uniform(0, 2 * math.pi, 60), np.arange(8) * math.pi / 4])
+        assert np.array_equal(
+            observables(mode, phases), [observable_for(MeasurementSetting(mode, p)) for p in phases]
+        )
+    # Any polar angle, poles included, so both branches of the formula and of
+    # the phase rule run.
+    ops = [make_spin_observable(t, p) for t, p in rng.uniform(0, [math.pi, 2 * math.pi], (60, 2))]
+    ops += [make_spin_observable(t, 0.3) for t in (0.0, math.pi)]
+    ops += [make_retarded_analyzer(t, d) for t, d in rng.uniform(0, [math.pi, 2 * math.pi], (60, 2))]
+    for basis, op in zip(eigenbases(np.array(ops)), ops):
+        assert np.max(np.abs(basis - np.column_stack(eigenbasis(op)))) <= 1e-12
+    with pytest.raises(ValueError, match="involutive"):
+        eigenbases(np.array([ops[0], [[1.0, 1.0], [1.0, 1.0]]]))
+
+    states = np.array([_random_state(rng) for _ in range(40)])
+    for mode in Mode:
+        phases = rng.uniform(0, 2 * math.pi, (40, 3))
+        bases = eigenbases(observables(mode, phases)).reshape(40, 3, 2, 2).swapaxes(0, 1)
+        probs = joint_probs_batch(states.reshape(40, 2, 2, 2), bases)
+        for got, state, triple in zip(probs, states, phases):
+            want = _joint_probs(state, tuple(MeasurementSetting(mode, p) for p in triple))
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_batched_state_check_rejects_any_bad_row():
+    states = np.array([_random_state(np.random.default_rng(k)) for k in range(3)])
+    _check_states(states)
+    with pytest.raises(ValueError, match="not normalized"):
+        _check_states(states * [[1.0], [1.0], [1.1]])
+    states[1, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _check_states(states)
 
 
 def test_sample_joint_deterministic_cases():

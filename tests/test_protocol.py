@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ghzkd import protocol
 from ghzkd.adversary import EveKind, EveStrategy, NoiseModel, Verdict, apply_noise, eve_intercept_resend
 from ghzkd.core import Mode, MeasurementSetting, joint_outcome_distribution, sample_joint
 from ghzkd.ghz import (
@@ -268,20 +269,45 @@ def _scalar_round(cfg, base, index):
         phi_b = solve_bob_phase(cfg.spec, phi_a, phi_c, cfg.bob_parity_preference)
         parity = cfg.bob_parity_preference
     state = ghz_state(cfg.spec)
+    paulis = [0, 0]
     if cfg.noise.p > 0:
-        noise_rng = rng(3)
-        state = apply_noise(state, 1, cfg.noise, noise_rng)
-        state = apply_noise(state, 3, cfg.noise, noise_rng)
+        noise_rng = _PauliSpy(rng(3))
+        for k, qubit in enumerate((1, 3)):
+            state = apply_noise(state, qubit, cfg.noise, noise_rng)
+            paulis[k], noise_rng.last = noise_rng.last, 0
     if cfg.eve.kind is EveKind.INTERCEPT_RESEND_A:
         eve_rng = rng(4)
         eve_angle = cfg.eve.fixed_angle if cfg.eve.fixed_angle is not None else cfg.menu[eve_rng.integers(3)]
         state, _ = eve_intercept_resend(state, eve_angle, eve_rng, cfg.mode)
     settings = tuple(MeasurementSetting(cfg.mode, p) for p in (phi_a, phi_b, phi_c))
     outcomes = sample_joint(state, settings, rng(5))
-    return (phi_a, phi_b, phi_c), parity is not None, parity, outcomes
+    return (phi_a, phi_b, phi_c), parity is not None, parity, outcomes, tuple(paulis)
+
+
+class _PauliSpy:
+    """A generator that remembers the last Pauli index ``apply_noise`` drew from it."""
+
+    def __init__(self, rng):
+        self.rng, self.last = rng, 0
+
+    def random(self):
+        return self.rng.random()
+
+    def integers(self, high):
+        self.last = int(self.rng.integers(high))
+        return self.last
 
 
 _NOISY = NoiseModel.depolarizing(0.2)
+_FULL_NOISE = NoiseModel.depolarizing(1.0)
+#: Long enough that every (Pauli on a, Pauli on c) pair occurs.
+_EVERY_PAULI_PAIR = _m2(
+    key_length=600, seed=8, spec=GhzSpec("-+-", -1), noise=NoiseModel.depolarizing(0.5), threshold=1.0
+)
+
+
+def _run(cfg):
+    return (run_method1 if cfg.method is Method.METHOD1 else run_method2)(cfg)
 
 
 @pytest.mark.parametrize(
@@ -300,15 +326,36 @@ _NOISY = NoiseModel.depolarizing(0.2)
             eve=EveStrategy.intercept_resend_a(),
             threshold=1.0,
         ),
+        _m1(key_length=40, seed=4, noise=_FULL_NOISE, eve=EveStrategy.intercept_resend_a(), threshold=1.0),
+        _m2(key_length=40, seed=6, noise=_FULL_NOISE, threshold=1.0),
+        _m2(
+            key_length=40,
+            seed=7,
+            mode=Mode.POLARIZATION,
+            spec=GhzSpec("++-", 1),
+            eve=EveStrategy.intercept_resend_a(2.0),
+            threshold=1.0,
+        ),
+        _EVERY_PAULI_PAIR,
     ],
-    ids=["method1-noise-eve", "method1-clean", "method2-noise-eve", "method2-menu-noise-eve"],
+    ids=[
+        "method1-noise-eve",
+        "method1-clean",
+        "method2-noise-eve",
+        "method2-menu-noise-eve",
+        "method1-full-noise-eve",
+        "method2-full-noise",
+        "method2-polarization-fixed-eve",
+        "method2-every-pauli-pair",
+    ],
 )
 def test_round_records_match_the_scalar_reference_engine(cfg):
-    run = run_method1 if cfg.method is Method.METHOD1 else run_method2
-    _, transcript = run(cfg)
+    _, transcript = _run(cfg)
     base = (cfg.seed, 1)
+    pairs = set()
     for record in transcript.rounds:
-        angles, retained, parity, outcomes = _scalar_round(cfg, base, record.index)
+        angles, retained, parity, outcomes, paulis = _scalar_round(cfg, base, record.index)
+        pairs.add(paulis)
         assert (record.phi_a, record.phi_b, record.phi_c) == angles
         assert (record.retained, record.parity) == (retained, parity)
         assert (record.outcome_a, record.outcome_b, record.outcome_c) == outcomes
@@ -316,6 +363,19 @@ def test_round_records_match_the_scalar_reference_engine(cfg):
         ints = (record.index, record.outcome_a, record.outcome_b, record.outcome_c)
         assert all(type(x) is int for x in ints)
         assert record.parity is None or type(record.parity) is int
+    if cfg is _EVERY_PAULI_PAIR:
+        assert pairs == set(itertools.product(range(4), repeat=2))
+
+
+def test_batch_boundaries_do_not_change_a_session(monkeypatch):
+    configs = [
+        _m1(key_length=40, seed=5, noise=_NOISY, eve=EveStrategy.intercept_resend_a(), threshold=1.0),
+        _m2(key_length=40, seed=3, noise=_NOISY, eve=EveStrategy.intercept_resend_a(0.3), threshold=1.0),
+        _m2(key_length=40, seed=9, noise=_NOISY, threshold=1.0),
+    ]
+    whole = [_run(cfg) for cfg in configs]
+    monkeypatch.setattr(protocol, "_MAX_BATCH", 7)
+    assert [_run(cfg) for cfg in configs] == whole
 
 
 # --------------------------------------------------------------------------

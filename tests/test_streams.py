@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzkd import streams
-from ghzkd.protocol import _ROUND_DOMAIN, _menu_picks, _round_rng
+from ghzkd.adversary import EveStrategy
+from ghzkd.protocol import (
+    _ROLE_EVE,
+    _ROUND_DOMAIN,
+    Method,
+    ProtocolConfig,
+    _eve_draws,
+    _menu_picks,
+    _round_rng,
+)
 
 ROLES = tuple(range(6))
 
@@ -47,6 +56,42 @@ def test_heads_and_draws_match_numpy(seed, run, domain, indices):
                 assert picks[r, j] == _numpy(entropy).integers(3)
             assert unit[r, j] == _numpy(entropy).random()
             assert angle[r, j] == _numpy(entropy).uniform(0.0, 2.0 * math.pi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, run=st.integers(0, 2**33), domain=st.integers(0, 3), indices=INDICES)
+def test_first_three_outputs_and_draw_sequences_match_numpy(seed, run, domain, indices):
+    out = streams.stream_outputs((seed, run, domain), np.array(indices, dtype=np.uint64), ROLES, 3)
+    assert out.shape == (3, len(ROLES), len(indices))
+    low, high = streams.halves(out)
+    unit = streams.random(out)
+    guess, rejected = streams.integers3(out[0])
+    for r, role in enumerate(ROLES):
+        for j, index in enumerate(indices):
+            entropy = (seed, run, domain, index, role)
+            raw = _numpy(entropy).bit_generator
+            assert [int(x) for x in out[:, r, j]] == [int(raw.random_raw()) for _ in range(3)]
+            # Transit noise hitting particle a: random, integers(4), then c's
+            # random and integers(4); the second bounded integer reads the
+            # high half numpy kept from the first.
+            rng = _numpy(entropy)
+            expected = (rng.random(), rng.integers(4), rng.random(), rng.integers(4))
+            got = (unit[0, r, j], streams.integers4(low[1, r, j]), unit[2, r, j], streams.integers4(high[1, r, j]))
+            assert got == expected
+            # Particle a untouched: random, then c's random and integers(4).
+            rng = _numpy(entropy)
+            expected = (rng.random(), rng.random(), rng.integers(4))
+            assert (unit[0, r, j], unit[1, r, j], streams.integers4(low[2, r, j])) == expected
+            # A guessing eavesdropper: integers(3), then random.
+            if not rejected[r, j]:
+                rng = _numpy(entropy)
+                assert (guess[r, j], unit[1, r, j]) == (rng.integers(3), rng.random())
+
+
+def test_stream_outputs_count_is_bounded():
+    for count in (0, 4):
+        with pytest.raises(ValueError):
+            streams.stream_outputs((1, 1, 1), np.array([0], dtype=np.uint64), ROLES, count)
 
 
 def _generator_about_to_output(head_state: int) -> np.random.Generator:
@@ -93,3 +138,22 @@ def test_negative_entropy_is_rejected_like_numpy():
         np.random.SeedSequence((-1, 1, 1, 0, 0))
     with pytest.raises(ValueError):
         streams.stream_heads((-1, 1, 1), np.array([0], dtype=np.uint64), ROLES)
+
+
+def test_rejected_eve_guess_falls_back_to_its_real_generator(monkeypatch):
+    config = ProtocolConfig(
+        method=Method.METHOD1, menu=(0.0, 1.0, 2.0), eve=EveStrategy.intercept_resend_a(), key_length=2
+    )
+    base = ((5 << 32) | 7, 1)
+    start = 2**32 + 3
+    indices = np.array([start, start + 1], dtype=np.uint64)
+    outputs = streams.stream_outputs(base + (_ROUND_DOMAIN,), indices, (_ROLE_EVE,), 2)
+    outputs[0, 0, 0] = 0xDEADBEEF00000000  # Lemire rejects the first round's guess
+    monkeypatch.setattr(streams, "stream_outputs", lambda *args: outputs)
+    guess, u = _eve_draws(config, base, start, indices)
+    rng = _round_rng(base, start, _ROLE_EVE)
+    assert (guess[0], u[0]) == (rng.integers(3), rng.random())
+    assert guess[0] != 0  # what Lemire's rule alone says for the crafted word
+    # The accepted round keeps its derived draws, which are its generator's.
+    rng = _round_rng(base, start + 1, _ROLE_EVE)
+    assert (guess[1], u[1]) == (rng.integers(3), rng.random())
