@@ -455,3 +455,57 @@ def test_simulate_output_bytes_are_pinned(capsys):
         if (got_code, got) != (code, digest):
             mismatches.append(" ".join(argv))
     assert not mismatches
+
+
+#: ``ghzkd sweep --mc-rounds 200`` per variable, ``--noise-p``, menu (none or
+#: 0,pi/2,pi), phases (default or pi/3,pi/6,3pi/2) and seed: exit code and
+#: sha256 prefix of stdout, recorded with the one-state-at-a-time oracle.
+#: The rows pin the exact column and the menu-summary comment lines.
+_GOLDEN_SWEEP = """
+eve-angle 0 - - 1 0 a155f802e30b9f5d
+eve-angle 0 - - 21474836487 0 4a7eb8fceb3b637b
+eve-angle 0 - explicit 1 0 81171d9792834176
+eve-angle 0 - explicit 21474836487 0 1ce2b78bad08f3f9
+eve-angle 0 menu - 1 0 2aa243a6ee530d50
+eve-angle 0 menu - 21474836487 0 ae7519be5c60ae9a
+eve-angle 0 menu explicit 1 0 e937209338edb7ce
+eve-angle 0 menu explicit 21474836487 0 393766deda1fff34
+eve-angle 0.1 - - 1 0 11a01267badd0f90
+eve-angle 0.1 - - 21474836487 0 7b7da52a143403d9
+eve-angle 0.1 - explicit 1 0 db79d0a4ae7f4d8a
+eve-angle 0.1 - explicit 21474836487 0 2a1ee46eff89ad5d
+eve-angle 0.1 menu - 1 0 d0506c3b387dd2be
+eve-angle 0.1 menu - 21474836487 0 6402c863eeb60162
+eve-angle 0.1 menu explicit 1 0 c22694dbde6db192
+eve-angle 0.1 menu explicit 21474836487 0 044f5d20991b8d50
+noise-p 0 - - 1 0 a20d0d9d32e1b4fa
+noise-p 0 - - 21474836487 0 b65069d2caf99ca9
+noise-p 0 - explicit 1 0 1180e6f1d421232e
+noise-p 0 - explicit 21474836487 0 45e9cab687e001cf
+noise-p 0 menu - 1 0 597818b2e162cdb1
+noise-p 0 menu - 21474836487 0 768f2b66ea31f663
+noise-p 0 menu explicit 1 0 f04d6fc61e859cd3
+noise-p 0 menu explicit 21474836487 0 9539cd4a596c1366
+noise-p 0.1 - - 1 0 a20d0d9d32e1b4fa
+noise-p 0.1 - - 21474836487 0 b65069d2caf99ca9
+noise-p 0.1 - explicit 1 0 1180e6f1d421232e
+noise-p 0.1 - explicit 21474836487 0 45e9cab687e001cf
+noise-p 0.1 menu - 1 0 7b8deb95000bc331
+noise-p 0.1 menu - 21474836487 0 e31759af97d6b7ae
+noise-p 0.1 menu explicit 1 0 68df967f1a6d334c
+noise-p 0.1 menu explicit 21474836487 0 a7713627fc076d03
+"""
+
+
+def test_sweep_output_bytes_are_pinned(capsys):
+    mismatches = []
+    for line in _GOLDEN_SWEEP.strip().splitlines():
+        variable, noise_p, menu, phases, seed, code, digest = line.split()
+        argv = ["sweep", "--variable", variable, "--noise-p", noise_p, "--seed", seed, "--mc-rounds", "200"]
+        argv += ["--menu", "0,pi/2,pi"] if menu == "menu" else []
+        argv += ["--phases", "pi/3,pi/6,3pi/2"] if phases == "explicit" else []
+        got_code = main(argv)
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+        if (got_code, got) != (int(code), digest):
+            mismatches.append(" ".join(argv))
+    assert not mismatches
