@@ -1,10 +1,13 @@
 """Eavesdropper strategies, channel noise, violation detection, and exact oracles.
 
 The oracles enumerate every branch (noise operator choices, the
-eavesdropper's projective outcomes, and the parties' joint outcomes)
-through the state-vector engine, so they are exact up to float rounding.
-A Monte-Carlo estimator with the same channel pipeline sits alongside them;
-tests and sweeps compare the two rather than trusting either alone.
+eavesdropper's projective outcomes, and the parties' joint outcomes), so
+they are exact up to float rounding.  Each oracle call is one batched
+enumeration, ``_violation_rates``, over all of its phase triples, whose
+array operations and summation order reproduce a one-state-at-a-time
+enumeration bit for bit.  A Monte-Carlo estimator with the same channel
+pipeline sits alongside them; tests and sweeps compare the two rather than
+trusting either alone.
 
 Channel pipeline for a round, matching the protocol runner: the prepared
 state passes noise on particles a and c (the two in transit), then an
@@ -29,9 +32,11 @@ from .core import (
     _joint_probs,
     _qubit_axis,
     apply_1q_batch,
+    eigenbasis,
     measure_single,
     normalize_angle,
-    project_single,
+    observables,
+    project_single,  # no caller here; bench/spans.py traces the name
     sample_joint,
 )
 from .ghz import GhzSpec, ghz_state, is_super_classical, solve_bob_phase, super_classical_triples
@@ -283,19 +288,81 @@ def _settings(mode: Mode, phases) -> tuple[MeasurementSetting, ...]:
     return tuple(MeasurementSetting(mode, p) for p in phases)
 
 
-def _violation_mass(state: np.ndarray, settings, parity: int) -> float:
-    probs = _joint_probs(state, settings)
-    return float(probs[PRODUCT_BY_INDEX != parity].sum())
-
-
-def _noise_branches(p: float):
+def _noise_branch_states(spec: GhzSpec, noise_p: float, noise_qubits) -> tuple[list[float], np.ndarray]:
+    """Weight and state of every noise branch (at most 4^3), first qubit's choice outermost."""
     # "Replace with probability p" means I, X, Y, Z each carry weight p/4,
     # on top of the 1-p pass-through.
-    if p == 0.0:
-        return ((1.0, None),)
-    branches = [(1.0 - 0.75 * p, None)]
-    branches += [(0.25 * p, op) for op in _PAULIS[1:]]
-    return tuple(branches)
+    choices = ((1.0, None),)
+    if noise_p != 0.0:
+        choices = ((1.0 - 0.75 * noise_p, None),) + tuple((0.25 * noise_p, op) for op in _PAULIS[1:])
+    branches = [(1.0, ghz_state(spec))]
+    for qubit in noise_qubits:
+        branches = [
+            (weight * w, state if op is None else _apply_1q(state, op, qubit))
+            for weight, state in branches
+            for w, op in choices
+        ]
+    weights, states = zip(*branches)
+    return list(weights), _check_states(np.array(states))
+
+
+def _violation_rates(
+    spec: GhzSpec, triples, mode: Mode, eve_angles=None, noise_p: float = 0.0, noise_qubits=(1, 3)
+) -> list[float]:
+    """Exact violation rate of each phase triple, all branches in one array pass.
+
+    ``eve_angles`` is None (no eavesdropper) or one angle per triple.  Every
+    noise branch, every eavesdropper outcome on particle a and every joint
+    outcome is enumerated; each rate sums weight * P(Eve's outcome) *
+    P(parity broken) over the branches in enumeration order.
+    """
+    if not 0.0 <= noise_p <= 1.0:
+        raise ValueError(f"noise probability must be in [0, 1], got {noise_p!r}")
+    parities = []
+    for phases in triples:
+        parity = is_super_classical(spec, phases)
+        if parity is None:
+            raise ValueError(f"phases {tuple(phases)} are not super-classical for {spec}")
+        parities.append(parity)
+    if not triples:
+        return []
+    phases = [[normalize_angle(p) for p in triple] for triple in triples]
+    eves = None if eve_angles is None else [normalize_angle(a) for a in eve_angles]
+    # The scalar eigenbasis formula once per distinct angle, bypassing core's
+    # caches, which continuous angles would only fill.
+    angles = list(dict.fromkeys([p for triple in phases for p in triple] + (eves or [])))
+    bases = {a: np.column_stack(eigenbasis(op)) for a, op in zip(angles, observables(mode, angles))}
+    weights, states = _noise_branch_states(spec, noise_p, noise_qubits)
+
+    # Joint basis change per triple: the Kronecker product of the three
+    # eigenbases, as _basis_change forms it, then its adjoint.
+    v = np.array([[bases[p] for p in triple] for triple in phases])
+    ab = (v[:, 0, :, None, :, None] * v[:, 1, None, :, None, :]).reshape(-1, 4, 4)
+    u = (ab[:, :, None, :, None] * v[:, 2, None, :, None, :]).reshape(-1, 8, 8).conj().swapaxes(1, 2)
+
+    if eves is None:
+        measured, factors = states[None], np.array(weights)[None]
+    else:
+        # Eve's projection of particle a per distinct angle, branch and outcome
+        # (+1 then -1), as project_single computes it.
+        index = {a: i for i, a in enumerate(dict.fromkeys(eves))}
+        chis = np.array([bases[a] for a in index]).swapaxes(1, 2)  # (angle, outcome, component)
+        amp = chis.conj()[:, None, :, None, :] @ states.reshape(1, -1, 1, 2, 4)
+        prob = np.sum(np.abs(amp[..., 0, :]) ** 2, axis=-1)
+        kept = prob > 1e-300
+        post = (chis[:, None, :, :, None] @ amp).reshape(*prob.shape, 8)
+        post /= np.sqrt(np.where(kept, prob, 1.0))[..., None]
+        rows = [index[a] for a in eves]
+        measured = post[rows].reshape(len(phases), -1, 8)
+        factors = np.where(kept, np.array(weights)[:, None] * prob, 0.0)[rows].reshape(len(phases), -1)
+
+    joint = np.abs(np.matmul(u[:, None], measured[..., None])[..., 0]) ** 2
+    broken = np.array([np.flatnonzero(PRODUCT_BY_INDEX != parity) for parity in parities])
+    terms = factors * np.take_along_axis(joint, broken[:, None, :], axis=-1).sum(axis=-1)
+    totals = np.zeros(len(phases))
+    for column in terms.T:  # branch order; a skipped zero-probability branch adds 0.0
+        totals += column
+    return totals.tolist()
 
 
 def exact_violation_rate(
@@ -314,33 +381,8 @@ def exact_violation_rate(
     joint outcome distribution.  The phase triple must pin a deterministic
     parity, otherwise there is no prediction to violate.
     """
-    if not 0.0 <= noise_p <= 1.0:
-        raise ValueError(f"noise probability must be in [0, 1], got {noise_p!r}")
-    parity = is_super_classical(spec, phases)
-    if parity is None:
-        raise ValueError(f"phases {tuple(phases)} are not super-classical for {spec}")
-    settings = _settings(mode, phases)
-    base = ghz_state(spec)
-    eve_setting = MeasurementSetting(mode, eve_angle) if eve_angle is not None else None
-
-    total = 0.0
-    per_qubit = [_noise_branches(noise_p) for _ in noise_qubits]
-    for combo in itertools.product(*per_qubit) if noise_qubits else ((),):
-        weight = 1.0
-        state = base
-        for (w, op), qubit in zip(combo, noise_qubits):
-            weight *= w
-            if op is not None:
-                state = _apply_1q(state, op, qubit)
-        if eve_setting is None:
-            total += weight * _violation_mass(state, settings, parity)
-            continue
-        for eve_outcome in (1, -1):
-            p_branch, post = project_single(state, 1, eve_setting, eve_outcome)
-            if post is None:
-                continue
-            total += weight * p_branch * _violation_mass(post, settings, parity)
-    return total
+    eve_angles = None if eve_angle is None else [eve_angle]
+    return _violation_rates(spec, [phases], mode, eve_angles, noise_p, noise_qubits)[0]
 
 
 @dataclass
@@ -350,6 +392,25 @@ class MenuRates:
     retention: float
     by_class: dict  # {+1: rate or None, -1: rate or None}
     overall: float | None
+
+
+def _menu_rates(retained, rates) -> MenuRates:
+    """Average per-triple rates over the retained menu triples, per parity class and overall."""
+    sums = {1: [0.0, 0], -1: [0.0, 0]}
+    for (_, parity), rate in zip(retained, rates):
+        sums[parity][0] += rate
+        sums[parity][1] += 1
+    by_class = {k: (s / n if n else None) for k, (s, n) in sums.items()}
+    total_n = sums[1][1] + sums[-1][1]
+    overall = (sums[1][0] + sums[-1][0]) / total_n if total_n else None
+    return MenuRates(retention=total_n / 27.0, by_class=by_class, overall=overall)
+
+
+def _guess_rates(spec: GhzSpec, retained, menu_angles, mode: Mode, noise_p: float):
+    """Rates of each retained triple under each menu Eve angle (triple-major), and their per-triple means."""
+    triples = [triple for triple, _ in retained for _ in menu_angles]
+    rates = _violation_rates(spec, triples, mode, menu_angles * len(retained), noise_p)
+    return rates, [sum(rates[i : i + 3]) / 3.0 for i in range(0, len(rates), 3)]
 
 
 def menu_attack_rates(
@@ -368,22 +429,12 @@ def menu_attack_rates(
     over Eve guessing uniformly among the three menu angles.
     """
     retained = super_classical_triples(menu, spec)
-    menu_angles = tuple(normalize_angle(a) for a in menu)
-    sums = {1: [0.0, 0], -1: [0.0, 0]}
-    for triple, parity in retained:
-        if guess_from_menu:
-            rate = sum(
-                exact_violation_rate(spec, triple, mode, eve_angle=a, noise_p=noise_p)
-                for a in menu_angles
-            ) / 3.0
-        else:
-            rate = exact_violation_rate(spec, triple, mode, eve_angle=eve_angle, noise_p=noise_p)
-        sums[parity][0] += rate
-        sums[parity][1] += 1
-    by_class = {k: (s / n if n else None) for k, (s, n) in sums.items()}
-    total_n = sums[1][1] + sums[-1][1]
-    overall = (sums[1][0] + sums[-1][0]) / total_n if total_n else None
-    return MenuRates(retention=total_n / 27.0, by_class=by_class, overall=overall)
+    if guess_from_menu:
+        _, rates = _guess_rates(spec, retained, tuple(normalize_angle(a) for a in menu), mode, noise_p)
+    else:
+        eve_angles = None if eve_angle is None else [eve_angle] * len(retained)
+        rates = _violation_rates(spec, [triple for triple, _ in retained], mode, eve_angles, noise_p)
+    return _menu_rates(retained, rates)
 
 
 def continuous_attack_rate(
@@ -402,14 +453,12 @@ def continuous_attack_rate(
     The integrand is a low-degree trigonometric polynomial of the announced
     angle, so a uniform 64-point grid average is exact.
     """
+    announced = [TWO_PI * k / n_grid for k in range(n_grid)]
+    triples = [(phi_a, solve_bob_phase(spec, phi_a, 0.0, preference), 0.0) for phi_a in announced]
+    eve_angles = None if eve_angle is None else [eve_angle] * n_grid
     total = 0.0
-    for k in range(n_grid):
-        phi_a = TWO_PI * k / n_grid
-        phi_c = 0.0
-        phi_b = solve_bob_phase(spec, phi_a, phi_c, preference)
-        total += exact_violation_rate(
-            spec, (phi_a, phi_b, phi_c), mode, eve_angle=eve_angle, noise_p=noise_p
-        )
+    for rate in _violation_rates(spec, triples, mode, eve_angles, noise_p):
+        total += rate
     return total / n_grid
 
 
@@ -421,20 +470,13 @@ def menu_attack_summary(spec: GhzSpec, menu, mode: Mode = Mode.SPIN, noise_p: fl
     guess-averaged rate per retained triple.
     """
     menu_angles = tuple(normalize_angle(a) for a in menu)
-    joint = menu_attack_rates(spec, menu, mode, guess_from_menu=True, noise_p=noise_p).overall
-    by_eve = {
-        a: menu_attack_rates(spec, menu, mode, eve_angle=a, noise_p=noise_p).overall
-        for a in menu_angles
+    retained = super_classical_triples(menu, spec)
+    rates, guessed = _guess_rates(spec, retained, menu_angles, mode, noise_p)
+    return {
+        "joint_average": _menu_rates(retained, guessed).overall,
+        "by_eve_angle": {a: _menu_rates(retained, rates[j::3]).overall for j, a in enumerate(menu_angles)},
+        "by_triple": {triple: rate for (triple, _), rate in zip(retained, guessed)},
     }
-    by_triple = {
-        triple: sum(
-            exact_violation_rate(spec, triple, mode, eve_angle=a, noise_p=noise_p)
-            for a in menu_angles
-        )
-        / 3.0
-        for triple, _ in super_classical_triples(menu, spec)
-    }
-    return {"joint_average": joint, "by_eve_angle": by_eve, "by_triple": by_triple}
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .adversary import (
     EveStrategy,
     NoiseModel,
     Verdict,
+    _violation_rates,
     calibrate_threshold,
     exact_violation_rate,
     menu_attack_summary,
@@ -89,7 +90,7 @@ def probability(text: str) -> float:
 
 
 def count(text: str) -> int:
-    """A positive integer; the argparse type of ``--mc-rounds``."""
+    """A positive integer; the argparse type of ``--mc-rounds``, ``--key-length`` and ``--rounds``."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
@@ -303,22 +304,24 @@ def cmd_sweep(args) -> int:
             lines.append(f"# guess_average_at_triple_{label}={_fmt(rate)}")
     lines.append("parameter,oracle_rate,monte_carlo_rate,std_error")
 
-    for value in values:
-        if args.variable == "eve-angle":
-            eve_angle = phases[0] + value
-            oracle = exact_violation_rate(spec, phases, mode, eve_angle=eve_angle, noise_p=args.noise_p)
-            noise = NoiseModel.depolarizing(args.noise_p) if args.noise_p > 0 else NoiseModel.none()
-            v, n = monte_carlo_violation_rate(
-                spec, phases, mode, eve_angle=eve_angle, noise=noise, n_rounds=args.mc_rounds, seed=seed
-            )
-        else:
+    # The exact column: one oracle call for the whole Eve-angle sweep, one
+    # per noise level (each level is its own set of noise branches).
+    if args.variable == "eve-angle":
+        eve_angles = [phases[0] + value for value in values]
+        oracles = _violation_rates(spec, [phases] * len(values), mode, eve_angles, args.noise_p)
+        channels = [(eve_angle, args.noise_p) for eve_angle in eve_angles]
+    else:
+        for value in values:
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"noise probability {value} outside [0, 1]")
-            oracle = exact_violation_rate(spec, phases, mode, noise_p=value)
-            noise = NoiseModel.depolarizing(value) if value > 0 else NoiseModel.none()
-            v, n = monte_carlo_violation_rate(
-                spec, phases, mode, noise=noise, n_rounds=args.mc_rounds, seed=seed
-            )
+        channels = [(None, value) for value in values]
+        oracles = [exact_violation_rate(spec, phases, mode, noise_p=value) for value in values]
+
+    for value, oracle, (eve_angle, noise_p) in zip(values, oracles, channels):
+        noise = NoiseModel.depolarizing(noise_p) if noise_p > 0 else NoiseModel.none()
+        v, n = monte_carlo_violation_rate(
+            spec, phases, mode, eve_angle=eve_angle, noise=noise, n_rounds=args.mc_rounds, seed=seed
+        )
         mc = v / n
         stderr = math.sqrt(mc * (1.0 - mc) / n)
         lines.append(f"{_fmt(value)},{_fmt(oracle)},{_fmt(mc)},{_fmt(stderr)}")
@@ -345,8 +348,8 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--method", choices=("1", "2", "3party"), default="1")
     p.add_argument("--menu", default=None, help="three angles, e.g. '0,pi/2,pi'")
-    p.add_argument("--key-length", type=int, default=None, dest="key_length")
-    p.add_argument("--rounds", type=int, default=None, help="round budget (method 1)")
+    p.add_argument("--key-length", type=count, default=None, dest="key_length")
+    p.add_argument("--rounds", type=count, default=None, help="round budget (method 1)")
     p.add_argument("--parity-preference", type=int, choices=(1, -1), default=1, dest="parity_preference")
     p.add_argument("--eve", choices=("none", "intercept-a", "impersonate-charlie"), default="none")
     p.add_argument("--eve-angle", type=parse_angle, default=None, dest="eve_angle")

@@ -1,6 +1,7 @@
 """Attacks, noise, detection, and the exact oracles they are checked against."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from ghzkd.adversary import (
     NoRetainedRounds,
     NoiseModel,
     Verdict,
+    _violation_rates,
     apply_noise,
     calibrate_threshold,
     continuous_attack_rate,
@@ -26,8 +28,16 @@ from ghzkd.adversary import (
     mutual_information,
     pad_reuse_information,
 )
-from ghzkd.core import Mode, MeasurementSetting, born_probabilities, spin_setting
-from ghzkd.ghz import GhzSpec, ghz_state, solve_bob_phase
+from ghzkd.core import (
+    PRODUCT_BY_INDEX,
+    Mode,
+    MeasurementSetting,
+    _joint_probs,
+    born_probabilities,
+    eigenbasis_for,
+    spin_setting,
+)
+from ghzkd.ghz import GhzSpec, ghz_state, is_super_classical, solve_bob_phase, super_classical_triples
 from ghzkd.protocol import Method, ProtocolConfig, run_method1, run_method2
 
 SPEC = GhzSpec("+++", -1)
@@ -171,6 +181,102 @@ def test_same_angle_report_is_oracle_driven():
     for mode in Mode:
         rate = exact_violation_rate(SPEC, SC_TRIPLE, mode, eve_angle=SC_TRIPLE[0])
         assert rate == pytest.approx(0.0, abs=1e-12)
+
+
+# The one-state-at-a-time enumeration the batched kernel replaced, kept as
+# its reference: every noise branch state by a tensordot on one qubit,
+# Eve's projection of particle a per outcome, then the joint distribution.
+
+_REF_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _ref_apply_1q(state, op, qubit):
+    ax = qubit - 1
+    t = state.reshape(2, 2, 2)
+    return np.moveaxis(np.tensordot(op, t, axes=([1], [ax])), 0, ax).reshape(8)
+
+
+def _ref_project_single(state, qubit, setting, outcome):
+    chi_p, chi_m = eigenbasis_for(setting)
+    chi = chi_p if outcome == 1 else chi_m
+    ax = qubit - 1
+    amp = np.tensordot(chi.conj(), state.reshape(2, 2, 2), axes=([0], [ax]))
+    prob = float(np.sum(np.abs(amp) ** 2))
+    if prob <= 1e-300:
+        return 0.0, None
+    post = np.moveaxis(np.tensordot(chi, amp, axes=0), 0, ax).reshape(8)
+    return prob, post / math.sqrt(prob)
+
+
+def _ref_violation_mass(state, settings, parity):
+    probs = _joint_probs(state, settings)
+    return float(probs[PRODUCT_BY_INDEX != parity].sum())
+
+
+def _ref_violation_rate(spec, phases, mode, eve_angle, noise_p, noise_qubits):
+    parity = is_super_classical(spec, phases)
+    settings = tuple(MeasurementSetting(mode, p) for p in phases)
+    branches = ((1.0, None),)
+    if noise_p != 0.0:
+        branches = ((1.0 - 0.75 * noise_p, None),) + tuple((0.25 * noise_p, op) for op in _REF_PAULIS)
+    total = 0.0
+    for combo in itertools.product(*(branches for _ in noise_qubits)):
+        weight = 1.0
+        state = ghz_state(spec)
+        for (w, op), qubit in zip(combo, noise_qubits):
+            weight *= w
+            if op is not None:
+                state = _ref_apply_1q(state, op, qubit)
+        if eve_angle is None:
+            total += weight * _ref_violation_mass(state, settings, parity)
+            continue
+        for eve_outcome in (1, -1):
+            p_branch, post = _ref_project_single(state, 1, MeasurementSetting(mode, eve_angle), eve_outcome)
+            if post is None:
+                continue
+            total += weight * p_branch * _ref_violation_mass(post, settings, parity)
+    return total
+
+
+def test_batched_oracle_equals_scalar_enumeration():
+    # Exact equality, not a tolerance: the calibrated threshold in the golden
+    # CLI outputs is pinned to the last bit.  The cases cycle through every
+    # (noise qubits, Eve layout, triples) combination; grid triples are 64
+    # announced angles with a random parity each.
+    rng = np.random.default_rng(6)
+    layouts = list(
+        itertools.product(((1, 3), (), (1, 2, 3), (2,), (1, 2), (3,)), ("none", "shared", "each"), ("menu", "grid"))
+    )
+    cases = itertools.product(GhzSpec.all_canonical(), Mode, (0.0, 0.05, 0.3, 1.0, None))
+    mismatches, compared = [], 0
+    for case, (spec, mode, p) in enumerate(cases):
+        p = float(rng.uniform()) if p is None else p
+        qubits, eve, kind = layouts[case % len(layouts)]
+        if kind == "grid":
+            triples = []
+            for a, c in rng.uniform(-7, 7, size=(64, 2)):
+                triples.append((a, solve_bob_phase(spec, a, c, int(rng.choice((1, -1)))), c))
+        else:
+            triples = [t for t, _ in super_classical_triples((0.0, math.pi / 2, math.pi), spec)]
+        if eve == "none":
+            eve_angles = None
+        elif eve == "shared":
+            eve_angles = [float(rng.uniform(-7, 7))] * len(triples)
+        else:
+            eve_angles = [float(a) for a in rng.uniform(-7, 7, size=len(triples))]
+        got = _violation_rates(spec, triples, mode, eve_angles, p, qubits)
+        for i, triple in enumerate(triples):
+            eve_angle = None if eve_angles is None else eve_angles[i]
+            want = _ref_violation_rate(spec, triple, mode, eve_angle, p, qubits)
+            compared += 1
+            if type(got[i]) is not float or got[i] != want:
+                mismatches.append((str(spec), mode.value, p, qubits, triple, eve_angle, got[i], want))
+    assert compared > 3000
+    assert mismatches == []
 
 
 def test_oracle_matches_closed_form_law():

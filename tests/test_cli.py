@@ -271,6 +271,9 @@ def test_usage_errors_exit_one(capsys):
         assert main([*sweep, *bad]) == EXIT_ERROR
     for bad in ("-0.1", "1.5", "nan"):
         assert main(["simulate", "--menu", "0,pi/2,pi", "--noise-p", bad, "--seed", "1"]) == EXIT_ERROR
+    for bad in (["--key-length", "0"], ["--key-length", "-5"], ["--rounds", "0"]):
+        assert main(["simulate", "--menu", "0,pi/2,pi", "--seed", "1", *bad]) == EXIT_ERROR
+        assert "must be a positive integer" in capsys.readouterr().err
     capsys.readouterr()
     # An --output that cannot be written is an error, not a traceback.
     here = Path(__file__).resolve().parent
@@ -300,6 +303,18 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys):
     kept.write_text("earlier run\n")
     for path in (kept, fresh):
         assert main(["simulate", "--key-length", "0", "--seed", "1", "--output", str(path)]) == EXIT_ERROR
+    assert kept.read_text() == "earlier run\n"
+    assert not fresh.exists()
+
+
+def test_configuration_error_keeps_existing_output(tmp_path, capsys):
+    # Method 1 without a menu passes the parser and the --output check, then
+    # fails building the configuration.
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier run\n")
+    for path in (kept, fresh):
+        assert main(["simulate", "--method", "1", "--seed", "1", "--output", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("ghzkd: error: ")
     assert kept.read_text() == "earlier run\n"
     assert not fresh.exists()
 
