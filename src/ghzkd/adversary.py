@@ -32,7 +32,7 @@ from .core import (
     _joint_probs,
     _qubit_axis,
     apply_1q_batch,
-    eigenbasis,
+    eigenbases,
     measure_single,
     normalize_angle,
     observables,
@@ -328,10 +328,10 @@ def _violation_rates(
         return []
     phases = [[normalize_angle(p) for p in triple] for triple in triples]
     eves = None if eve_angles is None else [normalize_angle(a) for a in eve_angles]
-    # The scalar eigenbasis formula once per distinct angle, bypassing core's
+    # One eigenbasis per distinct angle, in one batch that bypasses core's
     # caches, which continuous angles would only fill.
     angles = list(dict.fromkeys([p for triple in phases for p in triple] + (eves or [])))
-    bases = {a: np.column_stack(eigenbasis(op)) for a, op in zip(angles, observables(mode, angles))}
+    bases = dict(zip(angles, eigenbases(observables(mode, angles))))
     weights, states = _noise_branch_states(spec, noise_p, noise_qubits)
 
     # Joint basis change per triple: the Kronecker product of the three

@@ -26,8 +26,8 @@ import sys
 from .adversary import (
     EveStrategy,
     NoiseModel,
+    NoRetainedRounds,
     Verdict,
-    _violation_rates,
     calibrate_threshold,
     exact_violation_rate,
     menu_attack_summary,
@@ -71,6 +71,8 @@ def parse_angle(text: str) -> float:
     sign = -1.0 if m.group(1) else 1.0
     coefficient = float(m.group(2)) if m.group(2) else 1.0
     divisor = float(m.group(3)) if m.group(3) else 1.0
+    if divisor == 0.0:
+        raise ValueError(f"cannot parse angle {text!r}: zero divisor")
     return sign * coefficient * math.pi / divisor
 
 
@@ -151,10 +153,16 @@ def _fmt(x: float) -> str:
 # simulate
 
 
+#: The walkthrough's menu, which ``--demo`` gives method 1 when none is set.
+_DEMO_MENU = "0,pi/2,pi"
+
+
 def _build_config(args, seed: int) -> ProtocolConfig:
     mode = _MODES[args.mode]
     spec = GhzSpec.parse(args.spec)
     menu = _parse_angle_list(args.menu, 3) if args.menu else None
+    if menu is None and args.demo and args.method == "1":
+        menu = _parse_angle_list(_DEMO_MENU, 3)
     key_length = args.key_length if args.key_length is not None else (4 if args.demo else 128)
 
     if args.eve == "none":
@@ -296,6 +304,8 @@ def cmd_sweep(args) -> int:
     if args.menu:
         menu = _parse_angle_list(args.menu, 3)
         summary = menu_attack_summary(spec, menu, mode, noise_p=args.noise_p)
+        if summary["joint_average"] is None:
+            raise ConfigError(f"menu {args.menu} has no super-classical triple for {args.spec}")
         lines.append(f"# menu_joint_average={_fmt(summary['joint_average'])}")
         for angle, rate in summary["by_eve_angle"].items():
             lines.append(f"# menu_average_at_eve_angle_{_fmt(angle)}={_fmt(rate)}")
@@ -304,18 +314,13 @@ def cmd_sweep(args) -> int:
             lines.append(f"# guess_average_at_triple_{label}={_fmt(rate)}")
     lines.append("parameter,oracle_rate,monte_carlo_rate,std_error")
 
-    # The exact column: one oracle call for the whole Eve-angle sweep, one
-    # per noise level (each level is its own set of noise branches).
+    # (Eve's angle, noise level) per value.  The exact column comes first, so
+    # a value outside the oracle's domain fails before any Monte-Carlo work.
     if args.variable == "eve-angle":
-        eve_angles = [phases[0] + value for value in values]
-        oracles = _violation_rates(spec, [phases] * len(values), mode, eve_angles, args.noise_p)
-        channels = [(eve_angle, args.noise_p) for eve_angle in eve_angles]
+        channels = [(phases[0] + value, args.noise_p) for value in values]
     else:
-        for value in values:
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"noise probability {value} outside [0, 1]")
         channels = [(None, value) for value in values]
-        oracles = [exact_violation_rate(spec, phases, mode, noise_p=value) for value in values]
+    oracles = [exact_violation_rate(spec, phases, mode, eve_angle=e, noise_p=p) for e, p in channels]
 
     for value, oracle, (eve_angle, noise_p) in zip(values, oracles, channels):
         noise = NoiseModel.depolarizing(noise_p) if noise_p > 0 else NoiseModel.none()
@@ -357,7 +362,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--reveal-secret", action="store_true", dest="reveal_secret")
-    p.add_argument("--demo", action="store_true", help="4-bit walkthrough-scale defaults")
+    p.add_argument("--demo", action="store_true", help=f"4-bit walkthrough-scale defaults (method 1: menu {_DEMO_MENU})")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("expectation", help="closed-form vs numeric expectation value")
@@ -391,8 +396,9 @@ def main(argv=None) -> int:
     try:
         _check_output(args)
         return args.func(args)
-    except (ConfigError, KeyExhausted, ValueError, OSError) as exc:
-        # OSError: an --output path that cannot be written.
+    except (ConfigError, KeyExhausted, NoRetainedRounds, ValueError, OSError) as exc:
+        # NoRetainedRounds: a menu whose triples never pin the detection
+        # class's parity.  OSError: an --output path that cannot be written.
         print(f"ghzkd: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

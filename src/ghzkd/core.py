@@ -147,45 +147,15 @@ def _check_observables(ops: np.ndarray) -> np.ndarray:
     return ops
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Fix the global phase: first component real non-negative, or if it
-    vanishes, second component real positive."""
-    if abs(v[0]) > 1e-15:
-        w = v * (v[0].conjugate() / abs(v[0]))
-        w[0] = abs(v[0])
-    else:
-        w = v * (v[1].conjugate() / abs(v[1]))
-        w[0] = 0.0
-        w[1] = abs(v[1])
-    return w
-
-
-def eigenbasis(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-fixed (+1, -1) eigenvectors of a dichotomic 2x2 observable.
-
-    The global phase of each eigenvector is pinned so post-measurement
-    states are reproducible bit for bit: the first component is real and
-    non-negative, and when it is zero the second is real and positive.
-    """
-    op = _check_observable(op)
-    a = float(op[0, 0].real)
-    b = complex(op[0, 1])
-    if a >= 0.0:
-        n = math.sqrt(2.0 * (1.0 + a))
-        chi_p = np.array([1.0 + a, b.conjugate()], dtype=complex) / n
-        chi_m = np.array([-b, 1.0 + a], dtype=complex) / n
-    else:
-        n = math.sqrt(2.0 * (1.0 - a))
-        chi_p = np.array([b, 1.0 - a], dtype=complex) / n
-        chi_m = np.array([1.0 - a, -b.conjugate()], dtype=complex) / n
-    return _fix_phase(chi_p), _fix_phase(chi_m)
-
-
 def _fix_phases(vs: np.ndarray) -> np.ndarray:
-    """``_fix_phase`` applied to every row of ``vs`` (shape (n, 2))."""
+    """Fix the global phase of every row of ``vs`` (shape (n, 2)).
+
+    The first component becomes real and non-negative, or if it vanishes,
+    the second real and positive.
+    """
     first = np.abs(vs[:, 0]) > 1e-15
     pivot = np.where(first, vs[:, 0], vs[:, 1])
-    size = np.abs(pivot)
+    size = np.hypot(pivot.real, pivot.imag)
     w = vs * (pivot.conj() / size)[:, None]
     w[:, 0] = np.where(first, size, 0.0)
     w[~first, 1] = size[~first]
@@ -209,11 +179,13 @@ def observables(mode: Mode, phases) -> np.ndarray:
 
 
 def eigenbases(ops: np.ndarray) -> np.ndarray:
-    """``eigenbasis`` of each dichotomic observable in ``ops`` (shape (n, 2, 2)).
+    """Phase-fixed (+1, -1) eigenvectors of each dichotomic observable in ``ops`` (shape (n, 2, 2)).
 
-    Returns shape (n, 2, 2): row i holds the phase-fixed +1 and -1
-    eigenvectors of ``ops[i]`` as its two columns, by the formula and phase
-    rule of ``eigenbasis``.
+    Returns shape (n, 2, 2): row i holds the eigenvectors of ``ops[i]`` as
+    its two columns.  The global phase of each eigenvector is pinned so
+    post-measurement states are reproducible bit for bit: the first
+    component is real and non-negative, and when it is zero the second is
+    real and positive.
     """
     ops = _check_observables(np.asarray(ops, dtype=complex))
     a, b = ops[:, 0, 0].real, ops[:, 0, 1]
@@ -225,6 +197,12 @@ def eigenbases(ops: np.ndarray) -> np.ndarray:
     chis[:, 1, 0], chis[:, 1, 1] = np.where(upper, -b, t), np.where(upper, t, -b.conj())
     chis /= np.sqrt(2.0 * t)[:, None, None]
     return _fix_phases(chis.reshape(-1, 2)).reshape(-1, 2, 2).swapaxes(1, 2)
+
+
+def eigenbasis(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-fixed (+1, -1) eigenvectors of a dichotomic 2x2 observable; ``eigenbases`` of one."""
+    chi_p, chi_m = eigenbases(_check_observable(op)[None])[0].T
+    return chi_p, chi_m
 
 
 @lru_cache(maxsize=2048)

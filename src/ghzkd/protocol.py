@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,7 +59,7 @@ from .core import (
 from .adversary import apply_noise, eve_intercept_resend  # noqa: F401
 from .core import sample_joint  # noqa: F401
 from .ghz import GhzSpec, ghz_state, is_super_classical, menu_quality, solve_bob_phase
-from .transcript import SESSION_SCOPE, PublicMessage, RoundRecord, Transcript
+from .transcript import RoundRecord, Transcript
 
 
 class Method(enum.IntEnum):
@@ -200,15 +199,6 @@ def recover_alice_bit(k: int, d: int) -> int:
 # Round physics
 
 
-class _RoundPhysics(NamedTuple):
-    phi_a: float
-    phi_b: float
-    phi_c: float
-    retained: bool
-    parity: int | None
-    outcomes: tuple[int, int, int]
-
-
 def _round_rng(base: tuple[int, int], index: int, role: int) -> np.random.Generator:
     """A round's stream as a real numpy generator, for a draw ``streams`` does not emulate."""
     return np.random.default_rng(np.random.SeedSequence(base + (_ROUND_DOMAIN, index, role)))
@@ -289,8 +279,12 @@ def _transit(config: ProtocolConfig, base: tuple[int, int], start: int, indices:
     return rows, states
 
 
-def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop: int) -> list[_RoundPhysics]:
-    """The physics of rounds ``start`` to ``stop - 1``: angle draws, transit, measurement.
+def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop: int) -> list[RoundRecord]:
+    """The records of rounds ``start`` to ``stop - 1``: angle draws, transit, measurement.
+
+    Each record holds the round's index, angles, retention, outcomes and
+    parity; the session fills in the bits of retained rounds, and the
+    transcript derives the public log from the records.
 
     Each round reads only its own streams, so a round's result depends on
     (config, base entropy, round index) alone, never on the batch it is
@@ -344,14 +338,9 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
     cum = np.cumsum(probs[owner], axis=1)
     ks = np.minimum((cum <= u[:, None]).sum(axis=1), 7).tolist()
     return [
-        _RoundPhysics(*triple, parity_of[triple] is not None, parity_of[triple], OUTCOME_TRIPLES[k])
-        for triple, k in zip(angles, ks)
+        RoundRecord(index, *triple, parity_of[triple] is not None, *OUTCOME_TRIPLES[k], parity_of[triple])
+        for index, triple, k in zip(range(start, stop), angles, ks)
     ]
-
-
-def _play_round_physics(config: ProtocolConfig, base: tuple[int, int], index: int) -> _RoundPhysics:
-    """One round's physics, self-contained; the one-round view of ``_play_rounds``."""
-    return _play_rounds(config, base, index, index + 1)[0]
 
 
 # --------------------------------------------------------------------------
@@ -378,14 +367,11 @@ def _run_session(
         seed=base[0],
         key_length=config.key_length,
     )
-    log = transcript.public_log
-    if menu_announced:
-        log.append(PublicMessage(SESSION_SCOPE, "bob", "menu", config.menu))
+    rounds = transcript.rounds
 
     recovered: list[int] = []
     inferred: list[int] = []
     key_index = 0
-    rounds_used = 0
     # Rounds are played in batches sized to the key bits still missing at the
     # menu's exact retention, so few rounds are computed past the last one used.
     retention = menu_quality(config.menu, config.spec) if config.method is Method.METHOD1 else 1.0
@@ -394,46 +380,28 @@ def _run_session(
         wanted = config.key_length - key_index
         size = math.ceil(wanted / retention) if retention > 0 else _MAX_BATCH
         stop = min(config.max_rounds, start + min(size, _MAX_BATCH))
-        for index, ph in enumerate(_play_rounds(config, base, start, stop), start):
+        for record in _play_rounds(config, base, start, stop):
             if key_index >= config.key_length:
                 break
-            rounds_used += 1
-            log.append(PublicMessage(index, "alice", "angle", ph.phi_a))
-            log.append(PublicMessage(index, "charlie", "angle", ph.phi_c))
-            record = RoundRecord(
-                index=index,
-                phi_a=ph.phi_a,
-                phi_b=ph.phi_b,
-                phi_c=ph.phi_c,
-                retained=ph.retained,
-                outcome_a=ph.outcomes[0],
-                outcome_b=ph.outcomes[1],
-                outcome_c=ph.outcomes[2],
-                parity=ph.parity,
-            )
-            if not ph.retained:
-                log.append(PublicMessage(index, "bob", "discard", True))
-                transcript.rounds.append(record)
+            rounds.append(record)
+            if not record.retained:
                 continue
 
             key_bit = int(key_bits[key_index])
             key_index += 1
-            a_bit, b_bit, c_bit = (bit_of(r) for r in ph.outcomes)
+            a_bit, b_bit, c_bit = bit_of(record.outcome_a), bit_of(record.outcome_b), bit_of(record.outcome_c)
             d_bit = encode_bit(a_bit, key_bit)
             e_bit = d_bit ^ c_bit
-            k_rec = recover_key_bit(d_bit, c_bit, b_bit, ph.parity)
+            k_rec = recover_key_bit(d_bit, c_bit, b_bit, record.parity)
             recovered.append(k_rec)
             inferred.append(recover_alice_bit(k_rec, d_bit))
             # Detection compares the sender's reconstructed bit (true key xor D)
             # against the deterministic parity; with the recovered key instead,
             # the check would hold identically and see nothing.
             a_check = recover_alice_bit(key_bit, d_bit)
-            parity_bit = 0 if ph.parity == 1 else 1
+            parity_bit = 0 if record.parity == 1 else 1
             record.d_bit, record.c_bit, record.e_bit, record.b_bit = d_bit, c_bit, e_bit, b_bit
             record.violation = (a_check ^ b_bit ^ c_bit) != parity_bit
-            log.append(PublicMessage(index, "alice", "d_bit", d_bit))
-            log.append(PublicMessage(index, "charlie", "c_bit", c_bit))
-            transcript.rounds.append(record)
 
         start = stop
 
@@ -447,7 +415,7 @@ def _run_session(
         if config.method is Method.METHOD2:
             parity_class = config.bob_parity_preference
         else:
-            present = {r.parity for r in transcript.rounds if r.retained}
+            present = {r.parity for r in rounds if r.retained}
             parity_class = 1 if 1 in present else -1
     report = detect(transcript, config.threshold if config.threshold is not None else 0.0, parity_class)
 
@@ -456,7 +424,7 @@ def _run_session(
         key_recovered=tuple(recovered),
         alice_bits_inferred=tuple(inferred),
         detection=report,
-        rounds_used=rounds_used,
+        rounds_used=len(rounds),
     )
     return result, transcript
 

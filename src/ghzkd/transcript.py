@@ -3,6 +3,8 @@
 A transcript separates two views of a session: the full per-round records
 (the simulator's god view, which includes every party's private data) and
 the public log (only what actually crossed the classical channel).  The
+records are stored; the public log is derived from them and the menu, since
+every public message is a fixed function of one round's record.  The
 serializers default to the public view and blank out private fields; pass
 ``reveal_secret=True`` to dump everything.
 
@@ -70,7 +72,7 @@ class RoundRecord:
 
 @dataclass
 class Transcript:
-    """Config echo, per-round records, and the ordered public log."""
+    """Config echo and per-round records; the ordered public log derives from them."""
 
     method: str
     spec_label: str
@@ -79,7 +81,25 @@ class Transcript:
     seed: int
     key_length: int
     rounds: list[RoundRecord] = field(default_factory=list)
-    public_log: list[PublicMessage] = field(default_factory=list)
+
+    @property
+    def public_log(self) -> list[PublicMessage]:
+        """Everything that crossed the classical channel, in order.
+
+        Bob's menu when one was announced, then per round Alice's and
+        Charlie's angles followed by Bob's discard notice or, on a retained
+        round, Alice's D bit and Charlie's C bit.
+        """
+        log = [] if self.menu is None else [PublicMessage(SESSION_SCOPE, "bob", "menu", self.menu)]
+        for r in self.rounds:
+            log.append(PublicMessage(r.index, "alice", "angle", r.phi_a))
+            log.append(PublicMessage(r.index, "charlie", "angle", r.phi_c))
+            if r.retained:
+                log.append(PublicMessage(r.index, "alice", "d_bit", r.d_bit))
+                log.append(PublicMessage(r.index, "charlie", "c_bit", r.c_bit))
+            else:
+                log.append(PublicMessage(r.index, "bob", "discard", True))
+        return log
 
 
 def _header_dict(t: Transcript, reveal_secret: bool) -> dict:

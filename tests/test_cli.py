@@ -1,13 +1,17 @@
 """Command-line contract: exit codes, determinism, redaction, output formats."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghzkd.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_EVE_DETECTED, main, parse_angle
+from ghzkd.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_EVE_DETECTED, build_parser, main, parse_angle
 
 
 def _run(tmp_path, *args, name="out.json"):
@@ -115,6 +119,21 @@ def test_simulate_demo_defaults(tmp_path):
     assert code == EXIT_CLEAN
     data = json.loads(payload)
     assert data["runs"][0]["transcript"]["header"]["key_length"] == 4
+
+
+def test_simulate_demo_gives_method1_the_walkthrough_menu(tmp_path):
+    code, payload = _run(tmp_path, "simulate", "--demo", "--seed", "1", name="demo.json")
+    assert code == EXIT_CLEAN
+    header = json.loads(payload)["runs"][0]["transcript"]["header"]
+    assert header["method"] == "method1"
+    assert header["key_length"] == 4
+    assert [float(a) for a in header["menu"]] == [0.0, math.pi / 2, math.pi]
+    # An explicit menu wins, and a menu-less three-party demo stays on method 2.
+    _, explicit = _run(tmp_path, "simulate", "--demo", "--menu", "0,pi/3,pi", "--seed", "1", name="menu.json")
+    assert float(json.loads(explicit)["runs"][0]["transcript"]["header"]["menu"][1]) == math.pi / 3
+    code, payload = _run(tmp_path, "simulate", "--method", "3party", "--demo", "--seed", "1", name="3p.json")
+    assert code == EXIT_CLEAN
+    assert {r["transcript"]["header"]["method"] for r in json.loads(payload)["runs"]} == {"method2"}
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):
@@ -275,6 +294,18 @@ def test_usage_errors_exit_one(capsys):
         assert main(["simulate", "--menu", "0,pi/2,pi", "--seed", "1", *bad]) == EXIT_ERROR
         assert "must be a positive integer" in capsys.readouterr().err
     capsys.readouterr()
+    # A menu that retains no rounds leaves calibration nothing to measure; a
+    # zero divisor in a pi form is no angle; a sweep's menu summary needs
+    # super-classical triples.
+    for argv in (
+        ["simulate", "--method", "1", "--menu", "0.1,0.2,0.3", "--noise-p", "0.1", "--seed", "1"],
+        ["simulate", "--method", "3party", "--menu", "0.1,0.2,0.3", "--noise-p", "0.1", "--seed", "1"],
+        ["expectation", "--phases", "pi/0,0,0"],
+        ["simulate", "--method", "2", "--eve", "intercept-a", "--eve-angle", "2pi/0.0", "--seed", "1"],
+        ["sweep", "--variable", "eve-angle", "--menu", "0.1,0.2,0.3", "--mc-rounds", "5", "--seed", "1"],
+    ):
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(("ghzkd: error: ", "usage: "))
     # An --output that cannot be written is an error, not a traceback.
     here = Path(__file__).resolve().parent
     for path in (here / "no-such-dir" / "x.json", here):
@@ -323,6 +354,116 @@ def test_stdout_when_no_output_path(capsys):
     code = main(["expectation", "--phases", "0,0,0"])
     assert code == EXIT_CLEAN
     assert "analytic = -1" in capsys.readouterr().out
+
+
+# --------------------------------------------------------------------------
+# argv fuzzing
+
+_ANGLES = ["0", "pi", "pi/2", "-pi/4", "2pi/3", "0.5pi", "3*pi/2", "0.3", "1e-300"]
+_BAD_ANGLES = ["nan", "inf", "-inf", "", " ", "pi/", "pi/0", "2pi/0.0", ".pi", "-.pi", "pie", "9" * 400 + "pi"]
+_BAD_LISTS = st.lists(st.sampled_from(_ANGLES + _BAD_ANGLES), max_size=4).map(",".join)
+_PROBABILITIES = ["0", "0.1", "0.5", "1"]
+_BAD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "", "x", "1.5", "-0.5", "0", "-3"])
+
+
+def _count(high):
+    # Well-formed counts stay at most ``high`` so every run is small.
+    return st.integers(1, high).map(str), _BAD_NUMBERS
+
+
+#: For each option of the real parser: a strategy for well-formed values and
+#: one for hostile ones (None for a flag that takes no value).  Well-formed
+#: values cover every kind of run: menus that retain rounds and menus that
+#: retain none, seeds of one to three 32-bit words, noise from 0 to 1.
+#: Hostile ones are nan, inf, negatives, empty strings and malformed pi
+#: forms.  ``--output`` is left out so the fuzzer writes no file; an option
+#: missing here fails the test.
+_FUZZ_VALUES = {
+    "--spec": (st.sampled_from(["+++,-", "++-,+", "-+-,-", "+--,+"]), st.sampled_from(["", "+++", "abc,-", "+++,0"])),
+    "--mode": (st.sampled_from(["spin", "pol"]), st.sampled_from(["", "polarization"])),
+    "--seed": (
+        st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**96)).map(str),
+        st.integers(-(2**64), -1).map(str) | _BAD_NUMBERS,
+    ),
+    "--method": (st.sampled_from(["1", "2", "3party"]), st.sampled_from(["", "3", "method1"])),
+    "--menu": (
+        st.sampled_from(["0,pi/2,pi", "pi/2,pi,3pi/2"]) | st.sampled_from(["0.1,0.2,0.3", "0.1,0.2,0.4"]),
+        _BAD_LISTS | st.sampled_from(["0,0,pi", "0,pi/2"]),
+    ),
+    "--key-length": _count(32),
+    "--rounds": _count(256),
+    "--mc-rounds": _count(20),
+    "--parity-preference": (st.sampled_from(["1", "-1"]), st.sampled_from(["0", "2", "x"])),
+    "--eve": (st.sampled_from(["none", "intercept-a", "impersonate-charlie"]), st.just("x")),
+    "--eve-angle": (st.sampled_from(_ANGLES), st.sampled_from(_BAD_ANGLES)),
+    "--noise-p": (st.sampled_from(_PROBABILITIES), _BAD_NUMBERS),
+    "--threshold": (st.floats(0, 1).map(repr), st.floats(max_value=-1e-300).map(repr) | _BAD_NUMBERS),
+    "--format": (st.sampled_from(["json", "csv"]), st.just("xml")),
+    "--phases": (st.sampled_from(["0,0,0", "pi/3,pi/6,3pi/2", "0,pi/2,pi/2", "0.3,0,0"]), _BAD_LISTS),
+    "--variable": (st.sampled_from(["eve-angle", "noise-p"]), st.just("x")),
+    "--values": (
+        st.lists(st.sampled_from(_PROBABILITIES + _ANGLES), min_size=1, max_size=4).map(",".join),
+        _BAD_LISTS,
+    ),
+    "--reveal-secret": (None, None),
+    "--demo": (None, None),
+}
+
+#: Options given on every draw: ``sweep`` runs 2000 Monte-Carlo rounds per
+#: value when ``--mc-rounds`` is absent.
+_ALWAYS_GIVEN = {"--mc-rounds"}
+
+
+def _parser_options():
+    """Each subcommand's option flags, as the real parser defines them."""
+    (subcommands,) = (a.choices for a in build_parser()._actions if isinstance(a.choices, dict))
+    return {
+        name: [a.option_strings[-1] for a in sub._actions if a.option_strings and a.dest not in ("help", "output")]
+        for name, sub in subcommands.items()
+    }
+
+
+_OPTIONS = _parser_options()
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with some of its options at well-formed values, then the same argv with one fault.
+
+    Subcommands are drawn in proportion to their number of options.  A fault
+    is a hostile value, a value on a flag that takes none, or a stray token;
+    one fault per argv, next to the argv without it, lets a fault that only
+    bites on an otherwise valid run be reached.
+    """
+    command = draw(st.sampled_from([name for name, options in _OPTIONS.items() for _ in options]))
+    options = _OPTIONS[command]
+    given_values = {}
+    for flag in options:
+        if flag in _ALWAYS_GIVEN or draw(st.booleans()):
+            valid, _ = _FUZZ_VALUES[flag]
+            given_values[flag] = None if valid is None else draw(valid)
+    valid_argv = _joined(command, given_values)
+    fault = draw(st.sampled_from([*options, "stray"]))
+    if fault == "stray":
+        return valid_argv, valid_argv + [draw(st.sampled_from(["--bogus", "extra", "--seed", "-x"]))]
+    nasty = _FUZZ_VALUES[fault][1]
+    return valid_argv, _joined(command, {**given_values, fault: draw(st.just("x") if nasty is None else nasty)})
+
+
+def _joined(command, given_values):
+    # "--flag=value" lets a value such as "-pi/4" reach its option.
+    return [command] + [flag if v is None else f"{flag}={v}" for flag, v in given_values.items()]
+
+
+@settings(max_examples=800, deadline=None)
+@given(argvs=_argvs())
+def test_any_argv_exits_0_1_or_2_without_a_traceback(argvs):
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (EXIT_CLEAN, EXIT_ERROR, EXIT_EVE_DETECTED)
+        if code == EXIT_ERROR:
+            assert err.getvalue().startswith(("ghzkd: error: ", "usage: "))
 
 
 # --------------------------------------------------------------------------

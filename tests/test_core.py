@@ -116,6 +116,50 @@ def test_eigenbasis_poles():
     assert np.allclose(chi_m, [1, 0], atol=1e-12)
 
 
+def _ref_fix_phase(v):
+    if abs(v[0]) > 1e-15:
+        w = v * (v[0].conjugate() / abs(v[0]))
+        w[0] = abs(v[0])
+    else:
+        w = v * (v[1].conjugate() / abs(v[1]))
+        w[0] = 0.0
+        w[1] = abs(v[1])
+    return w
+
+
+def _ref_eigenbasis(op):
+    """The eigenbasis formula and phase rule one observable at a time, in scalar arithmetic."""
+    a = float(op[0, 0].real)
+    b = complex(op[0, 1])
+    if a >= 0.0:
+        n = math.sqrt(2.0 * (1.0 + a))
+        chi_p = np.array([1.0 + a, b.conjugate()], dtype=complex) / n
+        chi_m = np.array([-b, 1.0 + a], dtype=complex) / n
+    else:
+        n = math.sqrt(2.0 * (1.0 - a))
+        chi_p = np.array([b, 1.0 - a], dtype=complex) / n
+        chi_m = np.array([1.0 - a, -b.conjugate()], dtype=complex) / n
+    return _ref_fix_phase(chi_p), _ref_fix_phase(chi_m)
+
+
+def test_eigenbases_equal_the_scalar_formula_bit_for_bit():
+    # Phases at the modes' default polar angles, random polar angles, and
+    # both poles, so both branches of the formula and of the phase rule run.
+    rng = np.random.default_rng(41)
+    ops = [op for mode in Mode for op in observables(mode, rng.uniform(0, 2 * math.pi, 2000))]
+    for t, p in rng.uniform(0, [math.pi, 2 * math.pi], (1000, 2)):
+        ops += [make_spin_observable(t, p), make_retarded_analyzer(t, p)]
+    for p in rng.uniform(0, 2 * math.pi, 50):
+        ops += [make_spin_observable(0.0, p), make_spin_observable(math.pi, p), make_retarded_analyzer(math.pi / 2, p)]
+    ops = np.array(ops)
+    mismatches = 0
+    for basis, op in zip(eigenbases(ops), ops):
+        want = _ref_eigenbasis(op)
+        got = eigenbasis(op)
+        mismatches += not (np.array_equal(basis, np.column_stack(want)) and all(map(np.array_equal, got, want)))
+    assert mismatches == 0
+
+
 def test_eigenbasis_rejects_non_involutions():
     with pytest.raises(ValueError):
         eigenbasis(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -226,7 +270,7 @@ def test_batched_kernel_matches_the_scalar_engine():
     ops += [make_spin_observable(t, 0.3) for t in (0.0, math.pi)]
     ops += [make_retarded_analyzer(t, d) for t, d in rng.uniform(0, [math.pi, 2 * math.pi], (60, 2))]
     for basis, op in zip(eigenbases(np.array(ops)), ops):
-        assert np.max(np.abs(basis - np.column_stack(eigenbasis(op)))) <= 1e-12
+        assert np.array_equal(basis, np.column_stack(_ref_eigenbasis(op)))
     with pytest.raises(ValueError, match="involutive"):
         eigenbases(np.array([ops[0], [[1.0, 1.0], [1.0, 1.0]]]))
 
