@@ -592,25 +592,179 @@ _GOLDEN_FULL_SIZE = (
 )
 
 
-def test_simulate_output_bytes_are_pinned(capsys):
+def _golden_cases(table, reveal):
     cases = []
-    for line in _GOLDEN.strip().splitlines():
+    for line in table.strip().splitlines():
         method, menu, adversary, fmt, seed, code, digest = line.split()
-        argv = ["simulate", "--method", method, "--format", fmt, "--seed", seed]
-        argv += ["--key-length", "64", "--reveal-secret"]
+        argv = ["simulate", "--method", method, "--format", fmt, "--seed", seed, "--key-length", "64"]
+        argv += ["--reveal-secret"] if reveal else []
         argv += ["--menu", "0,pi/2,pi"] if menu == "menu" else []
         argv += _GOLDEN_ADVERSARIES[adversary]
         cases.append((argv, int(code), digest))
-    full_size = ["simulate", "--method", "2", "--key-length", "4096", "--noise-p", "0.05", "--reveal-secret"]
-    for extra, code, digest in _GOLDEN_FULL_SIZE:
-        cases.append(([*full_size, "--seed", "1", *extra], code, digest))
+    return cases
+
+
+def _mismatches(cases, capsys):
     mismatches = []
     for argv, code, digest in cases:
         got_code = main(argv)
         got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
         if (got_code, got) != (code, digest):
             mismatches.append(" ".join(argv))
-    assert not mismatches
+    return mismatches
+
+
+def test_simulate_output_bytes_are_pinned(capsys):
+    cases = _golden_cases(_GOLDEN, reveal=True)
+    full_size = ["simulate", "--method", "2", "--key-length", "4096", "--noise-p", "0.05", "--reveal-secret"]
+    for extra, code, digest in _GOLDEN_FULL_SIZE:
+        cases.append(([*full_size, "--seed", "1", *extra], code, digest))
+    assert not _mismatches(cases, capsys)
+
+
+#: The matrix of ``_GOLDEN`` without ``--reveal-secret``: the masked public
+#: view, where private columns are null or blank.
+_GOLDEN_MASKED = """
+1 - none json 1 1 e3b0c44298fc1c14
+1 - none json 21474836487 1 e3b0c44298fc1c14
+1 - none csv 1 1 e3b0c44298fc1c14
+1 - none csv 21474836487 1 e3b0c44298fc1c14
+1 - noise json 1 1 e3b0c44298fc1c14
+1 - noise json 21474836487 1 e3b0c44298fc1c14
+1 - noise csv 1 1 e3b0c44298fc1c14
+1 - noise csv 21474836487 1 e3b0c44298fc1c14
+1 - guess json 1 1 e3b0c44298fc1c14
+1 - guess json 21474836487 1 e3b0c44298fc1c14
+1 - guess csv 1 1 e3b0c44298fc1c14
+1 - guess csv 21474836487 1 e3b0c44298fc1c14
+1 - fixed json 1 1 e3b0c44298fc1c14
+1 - fixed json 21474836487 1 e3b0c44298fc1c14
+1 - fixed csv 1 1 e3b0c44298fc1c14
+1 - fixed csv 21474836487 1 e3b0c44298fc1c14
+1 menu none json 1 0 4233b447056edcf7
+1 menu none json 21474836487 0 3bbb1dd38259e8c9
+1 menu none csv 1 0 9df01b88a2c20af9
+1 menu none csv 21474836487 0 3570a2341d09f8a5
+1 menu noise json 1 0 1b25b98f7c57609e
+1 menu noise json 21474836487 0 187d6091d1af1fef
+1 menu noise csv 1 0 50e0108c83a4300a
+1 menu noise csv 21474836487 0 901127c38571ed88
+1 menu guess json 1 2 78a29a513f12a411
+1 menu guess json 21474836487 0 93f71809490faab7
+1 menu guess csv 1 2 d08e41c4051e4d00
+1 menu guess csv 21474836487 0 b6a5557423e33a33
+1 menu fixed json 1 2 f674aa167aba2c2e
+1 menu fixed json 21474836487 2 18cfc7cd5fe7b494
+1 menu fixed csv 1 2 2abf1363dfd1c098
+1 menu fixed csv 21474836487 2 583e43fde749fb0d
+2 - none json 1 0 92be166643eafc4a
+2 - none json 21474836487 0 fef1d8978431bcd8
+2 - none csv 1 0 cfe1ceda8bc3b811
+2 - none csv 21474836487 0 97a5a38b713f9d0a
+2 - noise json 1 0 05147272dc6110b3
+2 - noise json 21474836487 0 fb1c697aad48e595
+2 - noise csv 1 0 3ab28c83996758a9
+2 - noise csv 21474836487 0 7804ae2a7c5db3ad
+2 - guess json 1 1 e3b0c44298fc1c14
+2 - guess json 21474836487 1 e3b0c44298fc1c14
+2 - guess csv 1 1 e3b0c44298fc1c14
+2 - guess csv 21474836487 1 e3b0c44298fc1c14
+2 - fixed json 1 2 fd09f7707cb0cd82
+2 - fixed json 21474836487 2 3b64e75d887112f6
+2 - fixed csv 1 2 25d56ca12d3f4fd0
+2 - fixed csv 21474836487 2 7422487db54185aa
+2 menu none json 1 0 92be166643eafc4a
+2 menu none json 21474836487 0 fef1d8978431bcd8
+2 menu none csv 1 0 cfe1ceda8bc3b811
+2 menu none csv 21474836487 0 97a5a38b713f9d0a
+2 menu noise json 1 0 05147272dc6110b3
+2 menu noise json 21474836487 0 fb1c697aad48e595
+2 menu noise csv 1 0 3ab28c83996758a9
+2 menu noise csv 21474836487 0 7804ae2a7c5db3ad
+2 menu guess json 1 2 9864db7dc0f576e6
+2 menu guess json 21474836487 2 f751a321e740f6ac
+2 menu guess csv 1 2 df488e6d72925403
+2 menu guess csv 21474836487 2 8d8cd9a325316007
+2 menu fixed json 1 2 fd09f7707cb0cd82
+2 menu fixed json 21474836487 2 3b64e75d887112f6
+2 menu fixed csv 1 2 25d56ca12d3f4fd0
+2 menu fixed csv 21474836487 2 7422487db54185aa
+3party - none json 1 0 586b2367cd8d1faf
+3party - none json 21474836487 0 6769bc848e19bff6
+3party - none csv 1 0 ede2da2506ff0654
+3party - none csv 21474836487 0 8bd1d86839f20e66
+3party - noise json 1 0 5ac06689411f2314
+3party - noise json 21474836487 0 05825abcd0087faf
+3party - noise csv 1 0 eceb6f8aba000e11
+3party - noise csv 21474836487 0 77789f182fba8efd
+3party - guess json 1 1 e3b0c44298fc1c14
+3party - guess json 21474836487 1 e3b0c44298fc1c14
+3party - guess csv 1 1 e3b0c44298fc1c14
+3party - guess csv 21474836487 1 e3b0c44298fc1c14
+3party - fixed json 1 2 df6babb692ed3aa7
+3party - fixed json 21474836487 2 207283f226c27dff
+3party - fixed csv 1 2 579882e798752a45
+3party - fixed csv 21474836487 2 3e4e7d8a29432378
+3party menu none json 1 0 abe32746d9a2b4a2
+3party menu none json 21474836487 0 c28d0cfa17ef4a2d
+3party menu none csv 1 0 887952b817c42fa5
+3party menu none csv 21474836487 0 b47e43a757be583e
+3party menu noise json 1 0 0a786ee917eab4be
+3party menu noise json 21474836487 0 66f3ba60577f9d1c
+3party menu noise csv 1 0 635cfee3296f06ed
+3party menu noise csv 21474836487 0 563a93de230d42d2
+3party menu guess json 1 2 adbb7288181a8621
+3party menu guess json 21474836487 2 b260519a56def4d2
+3party menu guess csv 1 2 b0a5fe3a22cfbaf2
+3party menu guess csv 21474836487 2 9080233c6f24d06b
+3party menu fixed json 1 2 3e448e0a992cd288
+3party menu fixed json 21474836487 2 959111e78b1ae2e7
+3party menu fixed csv 1 2 9663d6cbeeb9c336
+3party menu fixed csv 21474836487 2 1dfc6970296651d1
+"""
+
+#: ``ghzkd simulate --method 3party --key-length 37 --spec ++-,+ --mode pol
+#: --parity-preference -1 --seed 5`` per menu (none or 0,pi/2,pi),
+#: eavesdropper (none, or an intercept: guessing from the menu when there is
+#: one, at angle 1.1 otherwise), format and reveal mode: exit code and sha256
+#: prefix of stdout.
+_GOLDEN_THREE_PARTY = """
+- none json masked 0 590acca6b1f29978
+- none json revealed 0 45fa2d6e54117886
+- none csv masked 0 436f94756c72d632
+- none csv revealed 0 89874bc543c95e0a
+- intercept json masked 2 9aa556888102528d
+- intercept json revealed 2 b66c2f7dc98cb886
+- intercept csv masked 2 620ac0a82fe65936
+- intercept csv revealed 2 59901fea14c7b759
+menu none json masked 0 e4383349eedd3006
+menu none json revealed 0 2655cba357ab4bf3
+menu none csv masked 0 72202458107cbc71
+menu none csv revealed 0 4e7e65c313fc37f6
+menu intercept json masked 2 3d5ecd6d6ed2833b
+menu intercept json revealed 2 a428aa50092cfb41
+menu intercept csv masked 2 a1e0692e74aa33b7
+menu intercept csv revealed 2 02d237da6d32af61
+"""
+
+
+def _three_party_cases():
+    cases = []
+    for line in _GOLDEN_THREE_PARTY.strip().splitlines():
+        menu, eve, fmt, reveal, code, digest = line.split()
+        argv = ["simulate", "--method", "3party", "--key-length", "37", "--spec", "++-,+", "--mode", "pol"]
+        argv += ["--parity-preference", "-1", "--seed", "5", "--format", fmt]
+        argv += ["--menu", "0,pi/2,pi"] if menu == "menu" else []
+        if eve == "intercept":
+            argv += ["--eve", "intercept-a"] + ([] if menu == "menu" else ["--eve-angle", "1.1"])
+        argv += ["--reveal-secret"] if reveal == "revealed" else []
+        cases.append((argv, int(code), digest))
+    return cases
+
+
+def test_masked_and_three_party_output_bytes_are_pinned(capsys):
+    cases = _golden_cases(_GOLDEN_MASKED, reveal=False) + _three_party_cases()
+    assert not _mismatches(cases, capsys)
 
 
 #: ``ghzkd sweep --mc-rounds 200`` per variable, ``--noise-p``, menu (none or
@@ -654,14 +808,11 @@ noise-p 0.1 menu explicit 21474836487 0 a7713627fc076d03
 
 
 def test_sweep_output_bytes_are_pinned(capsys):
-    mismatches = []
+    cases = []
     for line in _GOLDEN_SWEEP.strip().splitlines():
         variable, noise_p, menu, phases, seed, code, digest = line.split()
         argv = ["sweep", "--variable", variable, "--noise-p", noise_p, "--seed", seed, "--mc-rounds", "200"]
         argv += ["--menu", "0,pi/2,pi"] if menu == "menu" else []
         argv += ["--phases", "pi/3,pi/6,3pi/2"] if phases == "explicit" else []
-        got_code = main(argv)
-        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
-        if (got_code, got) != (int(code), digest):
-            mismatches.append(" ".join(argv))
-    assert not mismatches
+        cases.append((argv, int(code), digest))
+    assert not _mismatches(cases, capsys)
