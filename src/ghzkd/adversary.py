@@ -231,14 +231,10 @@ def eve_impersonate_charlie(transcript: Transcript) -> list[dict]:
     Per retained round that is exactly {phi_a, phi_c, D, C}: her own angle
     and outcome plus the two announced bits.  Nothing else reaches her.
     """
-    views = []
-    for r in transcript.rounds:
-        if r.d_bit is None:
-            continue
-        views.append(
-            {"phi_a": r.phi_a, "phi_c": r.phi_c, "d_bit": r.d_bit, "c_bit": r.c_bit}
-        )
-    return views
+    kept = transcript.retained
+    phi_a, _, phi_c = transcript.phases[kept].T.tolist()
+    d_bit, c_bit = transcript.bits[kept, :2].T.tolist()
+    return [{"phi_a": a, "phi_c": c, "d_bit": d, "c_bit": cb} for a, c, d, cb in zip(phi_a, phi_c, d_bit, c_bit)]
 
 
 # --------------------------------------------------------------------------
@@ -258,12 +254,11 @@ def detect(transcript: Transcript, threshold: float, parity_class: int = 1) -> D
         raise ValueError("threshold must be non-negative")
     if parity_class not in (1, -1):
         raise ValueError(f"parity_class must be +1 or -1, got {parity_class!r}")
-    counts = {1: [0, 0], -1: [0, 0]}
-    for r in transcript.rounds:
-        if not r.retained or r.parity is None or r.d_bit is None:
-            continue
-        counts[r.parity][0] += 1
-        counts[r.parity][1] += int(r.violation)
+    # A discarded round has parity 0, so each class holds retained rounds only.
+    counts = {}
+    for p in (1, -1):
+        in_class = transcript.parity == p
+        counts[p] = (int(np.count_nonzero(in_class)), int(np.count_nonzero(in_class & transcript.violation)))
     checked, violations = counts[parity_class]
     if checked == 0:
         raise NoRetainedRounds(f"no retained rounds with parity {parity_class:+d}")
@@ -276,7 +271,7 @@ def detect(transcript: Transcript, threshold: float, parity_class: int = 1) -> D
         threshold=threshold,
         verdict=verdict,
         parity_class=parity_class,
-        class_counts={k: tuple(v) for k, v in counts.items()},
+        class_counts=counts,
     )
 
 

@@ -45,7 +45,11 @@ from .protocol import (
     run_three_party,
     session_result_to_dict,
 )
-from .transcript import transcript_to_csv, transcript_to_dict
+from .transcript import nested_json, nested_transcript_json, transcript_to_csv
+
+# ``simulate`` writes its transcripts without this dict view; the name stays
+# importable here because bench/spans.py traces it as ``cli.transcript_to_dict``.
+from .transcript import transcript_to_dict  # noqa: F401
 
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
@@ -165,6 +169,8 @@ def _build_config(args, seed: int) -> ProtocolConfig:
         menu = _parse_angle_list(_DEMO_MENU, 3)
     key_length = args.key_length if args.key_length is not None else (4 if args.demo else 128)
 
+    if args.eve_angle is not None and args.eve != "intercept-a":
+        raise ConfigError("--eve-angle applies only to --eve intercept-a")
     if args.eve == "none":
         eve = EveStrategy.none()
     elif args.eve == "intercept-a":
@@ -191,11 +197,14 @@ def _build_config(args, seed: int) -> ProtocolConfig:
     )
 
 
-def _run_to_dict(result, transcript, reveal: bool) -> dict:
-    return {
-        "result": session_result_to_dict(result, reveal),
-        "transcript": transcript_to_dict(transcript, reveal),
-    }
+def _payload_json(seed: int, runs, reveal: bool) -> str:
+    """``json.dumps({"seed": seed, "runs": [{"result": ..., "transcript": ...}]}, indent=2)`` plus a newline."""
+    entries = ",\n".join(
+        '    {\n      "result": %s,\n      "transcript": %s\n    }'
+        % (nested_json(session_result_to_dict(r, reveal), 3), nested_transcript_json(t, reveal, 3))
+        for r, t in runs
+    )
+    return '{\n  "seed": %s,\n  "runs": [\n%s\n  ]\n}\n' % (json.dumps(seed), entries)
 
 
 def _run_to_csv(result, transcript, reveal: bool) -> str:
@@ -225,8 +234,7 @@ def cmd_simulate(args) -> int:
         runs = [run_method2(config)]
 
     if args.format == "json":
-        payload = {"seed": seed, "runs": [_run_to_dict(r, t, args.reveal_secret) for r, t in runs]}
-        _write_output(args, json.dumps(payload, indent=2) + "\n")
+        _write_output(args, _payload_json(seed, runs, args.reveal_secret))
     else:
         chunks = [f"# seed={seed}\n"]
         for i, (r, t) in enumerate(runs, start=1):

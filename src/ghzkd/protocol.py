@@ -59,7 +59,7 @@ from .core import (
 from .adversary import apply_noise, eve_intercept_resend  # noqa: F401
 from .core import sample_joint  # noqa: F401
 from .ghz import GhzSpec, ghz_state, is_super_classical, menu_quality, solve_bob_phase
-from .transcript import RoundRecord, Transcript
+from .transcript import Transcript
 
 
 class Method(enum.IntEnum):
@@ -86,6 +86,8 @@ MAX_ROUNDS_FACTOR_METHOD1 = 8
 
 #: Most rounds played in one batch; bounds a long session's working memory.
 _MAX_BATCH = 4096
+
+_OUTCOMES = np.array(OUTCOME_TRIPLES)
 
 
 @dataclass(frozen=True)
@@ -279,12 +281,13 @@ def _transit(config: ProtocolConfig, base: tuple[int, int], start: int, indices:
     return rows, states
 
 
-def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop: int) -> list[RoundRecord]:
-    """The records of rounds ``start`` to ``stop - 1``: angle draws, transit, measurement.
+def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop: int):
+    """Rounds ``start`` to ``stop - 1`` as columns: angle draws, transit, measurement.
 
-    Each record holds the round's index, angles, retention, outcomes and
-    parity; the session fills in the bits of retained rounds, and the
-    transcript derives the public log from the records.
+    Returns ``(phases, retained, outcomes, parity)``, row j being round
+    ``start + j``: the angles (m, 3), the retention flags, the +1/-1 outcomes
+    (m, 3) and the deterministic parity, 0 on a discarded round.  The session
+    computes the bits of retained rounds from them.
 
     Each round reads only its own streams, so a round's result depends on
     (config, base entropy, round index) alone, never on the batch it is
@@ -336,11 +339,9 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
 
     # Inverse-CDF pick, as searchsorted(cumsum(probs), u, side="right") per round.
     cum = np.cumsum(probs[owner], axis=1)
-    ks = np.minimum((cum <= u[:, None]).sum(axis=1), 7).tolist()
-    return [
-        RoundRecord(index, *triple, parity_of[triple] is not None, *OUTCOME_TRIPLES[k], parity_of[triple])
-        for index, triple, k in zip(range(start, stop), angles, ks)
-    ]
+    ks = np.minimum((cum <= u[:, None]).sum(axis=1), 7)
+    parity = np.array([parity_of[triple] or 0 for triple in angles])
+    return np.array(angles), parity != 0, _OUTCOMES[ks], parity
 
 
 # --------------------------------------------------------------------------
@@ -358,6 +359,48 @@ def _run_session(
     if key_bits is None:
         key_bits = _draw_key_bits(config, base)
 
+    # Rounds are played in batches sized to the key bits still missing at the
+    # menu's exact retention, so few rounds are computed past the last one
+    # used; the session ends right after the round that places the last bit.
+    batches = []
+    placed = 0
+    retention = menu_quality(config.menu, config.spec) if config.method is Method.METHOD1 else 1.0
+    start = 0
+    while placed < config.key_length and start < config.max_rounds:
+        wanted = config.key_length - placed
+        size = math.ceil(wanted / retention) if retention > 0 else _MAX_BATCH
+        stop = min(config.max_rounds, start + min(size, _MAX_BATCH))
+        batch = _play_rounds(config, base, start, stop)
+        kept = np.flatnonzero(batch[1])
+        if len(kept) >= wanted:
+            batch = tuple(column[: kept[wanted - 1] + 1] for column in batch)
+        batches.append(batch)
+        placed += min(len(kept), wanted)
+        start = stop
+
+    if placed < config.key_length:
+        raise KeyExhausted(
+            f"only {placed} of {config.key_length} key bits placed in {config.max_rounds} rounds"
+        )
+
+    phases, retained, outcomes, parity = (np.concatenate(column) for column in zip(*batches))
+    # The bit pipeline over the retained rounds, in round order, with
+    # ``bit_of``'s convention (outcome -1 is bit 1): D = A xor K, E = D xor C,
+    # and the key bit E xor B, complemented on parity -1 as in ``recover_key_bit``.
+    a, b, c = (outcomes[retained] == -1).T.astype(np.int64)
+    parity_bit = (parity[retained] == -1).astype(np.int64)
+    key = np.asarray(key_bits, dtype=np.int64)
+    d = encode_bit(a, key)
+    e = d ^ c
+    recovered = e ^ b ^ parity_bit
+    bits = np.zeros((len(retained), 4), dtype=np.int64)
+    bits[retained] = np.column_stack([d, c, e, b])
+    # Detection compares the sender's reconstructed bit (true key xor D)
+    # against the deterministic parity; with the recovered key instead, the
+    # check would hold identically and see nothing.
+    violation = np.zeros(len(retained), dtype=bool)
+    violation[retained] = (recover_alice_bit(key, d) ^ b ^ c) != parity_bit
+
     menu_announced = config.method is Method.METHOD1 or config.method2_menu_angles
     transcript = Transcript(
         method=f"method{int(config.method)}",
@@ -366,65 +409,28 @@ def _run_session(
         menu=config.menu if menu_announced else None,
         seed=base[0],
         key_length=config.key_length,
+        phases=phases,
+        retained=retained,
+        outcomes=outcomes,
+        parity=parity,
+        bits=bits,
+        violation=violation,
     )
-    rounds = transcript.rounds
-
-    recovered: list[int] = []
-    inferred: list[int] = []
-    key_index = 0
-    # Rounds are played in batches sized to the key bits still missing at the
-    # menu's exact retention, so few rounds are computed past the last one used.
-    retention = menu_quality(config.menu, config.spec) if config.method is Method.METHOD1 else 1.0
-    start = 0
-    while key_index < config.key_length and start < config.max_rounds:
-        wanted = config.key_length - key_index
-        size = math.ceil(wanted / retention) if retention > 0 else _MAX_BATCH
-        stop = min(config.max_rounds, start + min(size, _MAX_BATCH))
-        for record in _play_rounds(config, base, start, stop):
-            if key_index >= config.key_length:
-                break
-            rounds.append(record)
-            if not record.retained:
-                continue
-
-            key_bit = int(key_bits[key_index])
-            key_index += 1
-            a_bit, b_bit, c_bit = bit_of(record.outcome_a), bit_of(record.outcome_b), bit_of(record.outcome_c)
-            d_bit = encode_bit(a_bit, key_bit)
-            e_bit = d_bit ^ c_bit
-            k_rec = recover_key_bit(d_bit, c_bit, b_bit, record.parity)
-            recovered.append(k_rec)
-            inferred.append(recover_alice_bit(k_rec, d_bit))
-            # Detection compares the sender's reconstructed bit (true key xor D)
-            # against the deterministic parity; with the recovered key instead,
-            # the check would hold identically and see nothing.
-            a_check = recover_alice_bit(key_bit, d_bit)
-            parity_bit = 0 if record.parity == 1 else 1
-            record.d_bit, record.c_bit, record.e_bit, record.b_bit = d_bit, c_bit, e_bit, b_bit
-            record.violation = (a_check ^ b_bit ^ c_bit) != parity_bit
-
-        start = stop
-
-    if key_index < config.key_length:
-        raise KeyExhausted(
-            f"only {key_index} of {config.key_length} key bits placed in {config.max_rounds} rounds"
-        )
 
     parity_class = config.detection_parity
     if parity_class is None:
         if config.method is Method.METHOD2:
             parity_class = config.bob_parity_preference
         else:
-            present = {r.parity for r in rounds if r.retained}
-            parity_class = 1 if 1 in present else -1
+            parity_class = 1 if (parity == 1).any() else -1
     report = detect(transcript, config.threshold if config.threshold is not None else 0.0, parity_class)
 
     result = SessionResult(
-        key_sent=tuple(int(b) for b in key_bits),
-        key_recovered=tuple(recovered),
-        alice_bits_inferred=tuple(inferred),
+        key_sent=tuple(key.tolist()),
+        key_recovered=tuple(recovered.tolist()),
+        alice_bits_inferred=tuple(recover_alice_bit(recovered, d).tolist()),
         detection=report,
-        rounds_used=len(rounds),
+        rounds_used=len(retained),
     )
     return result, transcript
 

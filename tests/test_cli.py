@@ -295,13 +295,16 @@ def test_usage_errors_exit_one(capsys):
         assert "must be a positive integer" in capsys.readouterr().err
     capsys.readouterr()
     # A menu that retains no rounds leaves calibration nothing to measure; a
-    # zero divisor in a pi form is no angle; a sweep's menu summary needs
-    # super-classical triples.
+    # zero divisor in a pi form is no angle; an Eve angle needs the
+    # intercepting eavesdropper; a sweep's menu summary needs super-classical
+    # triples.
     for argv in (
         ["simulate", "--method", "1", "--menu", "0.1,0.2,0.3", "--noise-p", "0.1", "--seed", "1"],
         ["simulate", "--method", "3party", "--menu", "0.1,0.2,0.3", "--noise-p", "0.1", "--seed", "1"],
         ["expectation", "--phases", "pi/0,0,0"],
         ["simulate", "--method", "2", "--eve", "intercept-a", "--eve-angle", "2pi/0.0", "--seed", "1"],
+        ["simulate", "--method", "2", "--eve-angle", "0.3", "--seed", "1"],
+        ["simulate", "--menu", "0,pi/2,pi", "--eve", "impersonate-charlie", "--eve-angle", "0.3", "--seed", "1"],
         ["sweep", "--variable", "eve-angle", "--menu", "0.1,0.2,0.3", "--mc-rounds", "5", "--seed", "1"],
     ):
         assert main(argv) == EXIT_ERROR

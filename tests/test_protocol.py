@@ -246,10 +246,10 @@ def test_round_physics_independent_of_execution_order():
     _, transcript = run_method1(cfg)
     base = (cfg.seed, 1)
     for record in reversed(transcript.rounds):
-        (ph,) = _play_rounds(cfg, base, record.index, record.index + 1)
-        assert (ph.phi_a, ph.phi_b, ph.phi_c) == (record.phi_a, record.phi_b, record.phi_c)
-        assert (ph.outcome_a, ph.outcome_b, ph.outcome_c) == (record.outcome_a, record.outcome_b, record.outcome_c)
-        assert ph.retained == record.retained
+        phases, retained, outcomes, parity = _play_rounds(cfg, base, record.index, record.index + 1)
+        assert tuple(phases[0].tolist()) == (record.phi_a, record.phi_b, record.phi_c)
+        assert tuple(outcomes[0].tolist()) == (record.outcome_a, record.outcome_b, record.outcome_c)
+        assert (retained[0], parity[0]) == (record.retained, record.parity or 0)
 
 
 def _scalar_round(cfg, base, index):
