@@ -5,9 +5,11 @@ eavesdropper's projective outcomes, and the parties' joint outcomes), so
 they are exact up to float rounding.  Each oracle call is one batched
 enumeration, ``_violation_rates``, over all of its phase triples, whose
 array operations and summation order reproduce a one-state-at-a-time
-enumeration bit for bit.  A Monte-Carlo estimator with the same channel
-pipeline sits alongside them; tests and sweeps compare the two rather than
-trusting either alone.
+enumeration bit for bit.  Its set-up is array work too: the noise-branch
+table is built as arrays on each call, and the parities and the continuous
+grids' receiver angles come from ``ghz.parity_rule`` and ``ghz.bob_phases``.
+A Monte-Carlo estimator with the same channel pipeline sits alongside them;
+tests and sweeps compare the two rather than trusting either alone.
 
 Channel pipeline for a round, matching the protocol runner: the prepared
 state passes noise on particles a and c (the two in transit), then an
@@ -17,7 +19,6 @@ intercept-resend eavesdropper measures particle a, then the parties measure.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,16 +31,16 @@ from .core import (
     TWO_PI,
     _check_states,
     _joint_probs,
-    _qubit_axis,
     apply_1q_batch,
     eigenbases,
     measure_single,
     normalize_angle,
+    normalize_angles,
     observables,
     project_single,  # no caller here; bench/spans.py traces the name
     sample_joint,
 )
-from .ghz import GhzSpec, ghz_state, is_super_classical, solve_bob_phase, super_classical_triples
+from .ghz import GhzSpec, bob_phases, ghz_state, is_super_classical, parity_rule, super_classical_triples
 from .transcript import Transcript
 
 
@@ -151,22 +152,8 @@ def detection_report_to_dict(report: DetectionReport) -> dict:
 # Channel actions
 
 
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
-#: The Paulis stacked, so an array of indices picks one per round.
-PAULI_STACK = np.stack(_PAULIS)
-
-
-def _apply_1q(state: np.ndarray, op: np.ndarray, qubit: int) -> np.ndarray:
-    ax = _qubit_axis(qubit)
-    t = state.reshape(2, 2, 2)
-    return np.moveaxis(np.tensordot(op, t, axes=([1], [ax])), 0, ax).reshape(8)
+#: I, X, Y and Z stacked, so an array of indices picks one per round.
+PAULI_STACK = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 def apply_noise(state: np.ndarray, qubit: int, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
@@ -181,7 +168,7 @@ def apply_noise(state: np.ndarray, qubit: int, model: NoiseModel, rng: np.random
     k = int(rng.integers(4))
     if k == 0:
         return state
-    return _apply_1q(state, _PAULIS[k], qubit)
+    return apply_1q_batch(PAULI_STACK[k : k + 1], state.reshape(1, 2, 2, 2), qubit).reshape(8)
 
 
 @dataclass(frozen=True)
@@ -283,22 +270,8 @@ def _settings(mode: Mode, phases) -> tuple[MeasurementSetting, ...]:
     return tuple(MeasurementSetting(mode, p) for p in phases)
 
 
-def _noise_branch_states(spec: GhzSpec, noise_p: float, noise_qubits) -> tuple[list[float], np.ndarray]:
-    """Weight and state of every noise branch (at most 4^3), first qubit's choice outermost."""
-    # "Replace with probability p" means I, X, Y, Z each carry weight p/4,
-    # on top of the 1-p pass-through.
-    choices = ((1.0, None),)
-    if noise_p != 0.0:
-        choices = ((1.0 - 0.75 * noise_p, None),) + tuple((0.25 * noise_p, op) for op in _PAULIS[1:])
-    branches = [(1.0, ghz_state(spec))]
-    for qubit in noise_qubits:
-        branches = [
-            (weight * w, state if op is None else _apply_1q(state, op, qubit))
-            for weight, state in branches
-            for w, op in choices
-        ]
-    weights, states = zip(*branches)
-    return list(weights), _check_states(np.array(states))
+#: Outcome indices that break each parity: row 0 for +1, row 1 for -1.
+_BROKEN = np.array([np.flatnonzero(PRODUCT_BY_INDEX != parity) for parity in (1, -1)])
 
 
 def _violation_rates(
@@ -306,6 +279,7 @@ def _violation_rates(
 ) -> list[float]:
     """Exact violation rate of each phase triple, all branches in one array pass.
 
+    ``triples`` is a sequence or an (n, 3) array of phase triples;
     ``eve_angles`` is None (no eavesdropper) or one angle per triple.  Every
     noise branch, every eavesdropper outcome on particle a and every joint
     outcome is enumerated; each rate sums weight * P(Eve's outcome) *
@@ -313,48 +287,54 @@ def _violation_rates(
     """
     if not 0.0 <= noise_p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {noise_p!r}")
-    parities = []
-    for phases in triples:
-        parity = is_super_classical(spec, phases)
-        if parity is None:
-            raise ValueError(f"phases {tuple(phases)} are not super-classical for {spec}")
-        parities.append(parity)
-    if not triples:
+    if len(triples) == 0:
         return []
-    phases = [[normalize_angle(p) for p in triple] for triple in triples]
-    eves = None if eve_angles is None else [normalize_angle(a) for a in eve_angles]
+    phases = np.asarray(triples, dtype=float)
+    parities = parity_rule(spec, phases)
+    if not parities.all():
+        raise ValueError(f"phases {tuple(phases[parities == 0][0].tolist())} are not super-classical for {spec}")
+    n = len(phases)
     # One eigenbasis per distinct angle, in one batch that bypasses core's
     # caches, which continuous angles would only fill.
-    angles = list(dict.fromkeys([p for triple in phases for p in triple] + (eves or [])))
-    bases = dict(zip(angles, eigenbases(observables(mode, angles))))
-    weights, states = _noise_branch_states(spec, noise_p, noise_qubits)
+    angles = np.concatenate([phases.ravel(), [] if eve_angles is None else eve_angles])
+    angles, which = np.unique(normalize_angles(angles), return_inverse=True)
+    bases = eigenbases(observables(mode, angles))
+
+    # Every noise branch (at most 4^3), first qubit's choice outermost: "replace with
+    # probability p" means I, X, Y, Z each weigh p/4 on top of the 1-p pass-through,
+    # and at p = 0 the pass-through is the only branch.
+    choices = np.array([1.0 - 0.75 * noise_p, 0.25 * noise_p, 0.25 * noise_p, 0.25 * noise_p])
+    weights, states = np.ones(1), ghz_state(spec).reshape(1, 2, 2, 2)
+    for qubit in noise_qubits if noise_p != 0.0 else ():
+        weights = np.multiply.outer(weights, choices).ravel()
+        states = apply_1q_batch(np.tile(PAULI_STACK, (len(states), 1, 1)), np.repeat(states, 4, axis=0), qubit)
+    states = _check_states(states.reshape(-1, 8))
 
     # Joint basis change per triple: the Kronecker product of the three
     # eigenbases, as _basis_change forms it, then its adjoint.
-    v = np.array([[bases[p] for p in triple] for triple in phases])
+    v = bases[which[: 3 * n]].reshape(n, 3, 2, 2)
     ab = (v[:, 0, :, None, :, None] * v[:, 1, None, :, None, :]).reshape(-1, 4, 4)
     u = (ab[:, :, None, :, None] * v[:, 2, None, :, None, :]).reshape(-1, 8, 8).conj().swapaxes(1, 2)
 
-    if eves is None:
-        measured, factors = states[None], np.array(weights)[None]
+    if eve_angles is None:
+        measured, factors = states[None], weights[None]
     else:
         # Eve's projection of particle a per distinct angle, branch and outcome
         # (+1 then -1), as project_single computes it.
-        index = {a: i for i, a in enumerate(dict.fromkeys(eves))}
-        chis = np.array([bases[a] for a in index]).swapaxes(1, 2)  # (angle, outcome, component)
+        distinct, rows = np.unique(which[3 * n :], return_inverse=True)
+        chis = bases[distinct].swapaxes(1, 2)  # (angle, outcome, component)
         amp = chis.conj()[:, None, :, None, :] @ states.reshape(1, -1, 1, 2, 4)
         prob = np.sum(np.abs(amp[..., 0, :]) ** 2, axis=-1)
         kept = prob > 1e-300
         post = (chis[:, None, :, :, None] @ amp).reshape(*prob.shape, 8)
         post /= np.sqrt(np.where(kept, prob, 1.0))[..., None]
-        rows = [index[a] for a in eves]
-        measured = post[rows].reshape(len(phases), -1, 8)
-        factors = np.where(kept, np.array(weights)[:, None] * prob, 0.0)[rows].reshape(len(phases), -1)
+        measured = post[rows].reshape(n, -1, 8)
+        factors = np.where(kept, weights[:, None] * prob, 0.0)[rows].reshape(n, -1)
 
     joint = np.abs(np.matmul(u[:, None], measured[..., None])[..., 0]) ** 2
-    broken = np.array([np.flatnonzero(PRODUCT_BY_INDEX != parity) for parity in parities])
+    broken = _BROKEN[(parities == -1).astype(np.intp)]
     terms = factors * np.take_along_axis(joint, broken[:, None, :], axis=-1).sum(axis=-1)
-    totals = np.zeros(len(phases))
+    totals = np.zeros(n)
     for column in terms.T:  # branch order; a skipped zero-probability branch adds 0.0
         totals += column
     return totals.tolist()
@@ -448,8 +428,10 @@ def continuous_attack_rate(
     The integrand is a low-degree trigonometric polynomial of the announced
     angle, so a uniform 64-point grid average is exact.
     """
-    announced = [TWO_PI * k / n_grid for k in range(n_grid)]
-    triples = [(phi_a, solve_bob_phase(spec, phi_a, 0.0, preference), 0.0) for phi_a in announced]
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be a positive integer, got {n_grid!r}")
+    announced = TWO_PI * np.arange(n_grid) / n_grid
+    triples = np.column_stack([announced, bob_phases(spec, announced, 0.0, preference), np.zeros(n_grid)])
     eve_angles = None if eve_angle is None else [eve_angle] * n_grid
     total = 0.0
     for rate in _violation_rates(spec, triples, mode, eve_angles, noise_p):
@@ -581,19 +563,19 @@ def impersonation_view_joint(
     ``leak_alice_bit`` appends the sender's measured bit to the view, a
     sanity knob that must drive the information to one full bit.
     """
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be a positive integer, got {n_grid!r}")
     spec, mode = config.spec, config.mode
     if int(config.method) == 1:
         retained = super_classical_triples(config.menu, spec)
         weighted = [(t, 1.0 / len(retained)) for t, _ in retained]
-    elif phi_a is not None and phi_c is not None:
-        phi_b = solve_bob_phase(spec, phi_a, phi_c, config.bob_parity_preference)
-        weighted = [((phi_a, phi_b, phi_c), 1.0)]
     else:
-        weighted = []
-        for i, j in itertools.product(range(n_grid), repeat=2):
-            fa, fc = TWO_PI * i / n_grid, TWO_PI * j / n_grid
-            fb = solve_bob_phase(spec, fa, fc, config.bob_parity_preference)
-            weighted.append(((fa, fb, fc), 1.0 / n_grid**2))
+        if phi_a is not None and phi_c is not None:
+            fa, fc = np.array([[phi_a], [phi_c]], dtype=float)
+        else:
+            fa, fc = TWO_PI * np.indices((n_grid, n_grid)).reshape(2, -1) / n_grid
+        fb = bob_phases(spec, fa, fc, config.bob_parity_preference)
+        weighted = [(triple, 1.0 / len(fa)) for triple in zip(fa.tolist(), fb.tolist(), fc.tolist())]
 
     base = ghz_state(spec)
     joint: dict = {}

@@ -50,6 +50,14 @@ def normalize_angle(x: float) -> float:
     return x % TWO_PI
 
 
+def normalize_angles(xs) -> np.ndarray:
+    """``normalize_angle`` of every element of ``xs``; ``np.mod`` equals the float ``%``."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError(f"angle must be finite, got {float(xs[~np.isfinite(xs)].flat[0])!r}")
+    return np.mod(xs, TWO_PI)
+
+
 @dataclass(frozen=True)
 class MeasurementSetting:
     """One party's observable: a mode plus a phase angle (and a polar angle).

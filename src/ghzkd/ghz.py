@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OUTCOME_TRIPLES, TWO_PI, normalize_angle
+from .core import OUTCOME_TRIPLES, TWO_PI, normalize_angle, normalize_angles
 
 SUPER_CLASSICAL_TOL = 1e-9
 
@@ -88,7 +88,7 @@ def ghz_state(spec: GhzSpec) -> np.ndarray:
 
 
 def signed_phase_sum(spec: GhzSpec, phases) -> float:
-    """Sign-weighted sum s1*p1 + s2*p2 + s3*p3 of a phase triple."""
+    """Sign-weighted sum s1*p1 + s2*p2 + s3*p3 of a phase triple (or of three arrays of phases)."""
     s1, s2, s3 = spec.signs
     p1, p2, p3 = phases
     return s1 * p1 + s2 * p2 + s3 * p3
@@ -104,21 +104,24 @@ def analytic_expectation(spec: GhzSpec, phases) -> float:
     return spec.phase * math.cos(signed_phase_sum(spec, phases))
 
 
-def is_super_classical(spec: GhzSpec, phases, tol: float = SUPER_CLASSICAL_TOL) -> int | None:
-    """Parity (+1/-1) when the signed phase sum is 0 or pi mod 2*pi, else None.
+def parity_rule(spec: GhzSpec, phases, tol: float = SUPER_CLASSICAL_TOL) -> np.ndarray:
+    """Parity (+1/-1) of each phase triple (rows of ``phases``, shape (..., 3)), or 0 where none.
 
-    A sum at 0 pins the expectation value at ``spec.phase``; a sum at pi
-    pins it at ``-spec.phase``.  In either case the product of the three
-    outcomes equals that value on every run.
+    A signed phase sum at 0 mod 2*pi pins the expectation value at
+    ``spec.phase``, a sum at pi at ``-spec.phase``: the product of the three
+    outcomes equals that value on every run.  ``np.mod`` equals the float
+    ``%``, so a row gets the bits of the scalar arithmetic.
     """
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    r = signed_phase_sum(spec, phases) % TWO_PI
-    if min(r, TWO_PI - r) <= tol:
-        return spec.phase
-    if abs(r - math.pi) <= tol:
-        return -spec.phase
-    return None
+    with np.errstate(invalid="ignore"):  # an infinite angle has no parity, as with float %
+        r = np.mod(signed_phase_sum(spec, np.asarray(phases, dtype=float).T), TWO_PI)
+    return np.where(np.minimum(r, TWO_PI - r) <= tol, spec.phase, np.where(np.abs(r - math.pi) <= tol, -spec.phase, 0))
+
+
+def is_super_classical(spec: GhzSpec, phases, tol: float = SUPER_CLASSICAL_TOL) -> int | None:
+    """``parity_rule`` of one phase triple, with None where there is no parity."""
+    return int(parity_rule(spec, phases, tol)) or None
 
 
 def compatible_outcomes(parity: int) -> frozenset[tuple[int, int, int]]:
@@ -141,18 +144,24 @@ def predict_third(parity: int, known_a: int, known_b: int) -> int:
     return parity * known_a * known_b
 
 
-def solve_bob_phase(spec: GhzSpec, phi_a: float, phi_c: float, target: int) -> float:
-    """Phase for particle b that pins the round parity at ``target``.
+def bob_phases(spec: GhzSpec, phi_a, phi_c, target: int) -> np.ndarray:
+    """Phase for particle b that pins the round parity at ``target``, elementwise over the angle arrays.
 
     Solves s2*phi_b = t - s1*phi_a - s3*phi_c (mod 2*pi) with t chosen as 0
     or pi so the deterministic outcome product equals ``target``.  Always
-    solvable; the result lies in [0, 2*pi).
+    solvable for finite angles; the results lie in [0, 2*pi).
     """
     if target not in (1, -1):
         raise ValueError(f"target parity must be +1 or -1, got {target!r}")
     t = 0.0 if target == spec.phase else math.pi
     s1, s2, s3 = spec.signs
-    return normalize_angle(s2 * (t - s1 * phi_a - s3 * phi_c))
+    with np.errstate(invalid="ignore"):  # inf - inf is rejected as non-finite
+        return normalize_angles(s2 * (t - s1 * np.asarray(phi_a, dtype=float) - s3 * np.asarray(phi_c, dtype=float)))
+
+
+def solve_bob_phase(spec: GhzSpec, phi_a: float, phi_c: float, target: int) -> float:
+    """``bob_phases`` of one angle pair."""
+    return float(bob_phases(spec, phi_a, phi_c, target))
 
 
 def _validated_menu(menu) -> tuple[float, float, float]:
@@ -168,13 +177,8 @@ def super_classical_triples(
     menu, spec: GhzSpec, tol: float = SUPER_CLASSICAL_TOL
 ) -> list[tuple[tuple[float, float, float], int]]:
     """All ordered menu triples with a deterministic parity, with that parity."""
-    angles = _validated_menu(menu)
-    out = []
-    for triple in itertools.product(angles, repeat=3):
-        parity = is_super_classical(spec, triple, tol)
-        if parity is not None:
-            out.append((triple, parity))
-    return out
+    triples = list(itertools.product(_validated_menu(menu), repeat=3))
+    return [(t, p) for t, p in zip(triples, parity_rule(spec, triples, tol).tolist()) if p]
 
 
 def menu_quality(menu, spec: GhzSpec, tol: float = SUPER_CLASSICAL_TOL) -> float:

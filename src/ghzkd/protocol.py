@@ -4,7 +4,8 @@ Two methods are implemented.  In the menu-driven method the receiver
 announces three allowed angles, everyone measures at a random menu angle,
 and rounds whose announced angles fail to pin a deterministic parity are
 discarded.  In the solved-angle method the sender and the third party
-announce angles first and the receiver solves for his own angle so every
+announce angles first and the receiver solves for his own angle, for a
+whole batch of rounds in one array expression (``ghz.bob_phases``), so every
 round carries a deterministic parity of his choosing.  Either way the key
 travels through the XOR pipeline D = A xor K, E = D xor C, K = E xor B
 (complemented when the round parity is -1).
@@ -58,7 +59,7 @@ from .core import (
 # bench/spans.py traces them as ``protocol.<name>``.
 from .adversary import apply_noise, eve_intercept_resend  # noqa: F401
 from .core import sample_joint  # noqa: F401
-from .ghz import GhzSpec, ghz_state, is_super_classical, menu_quality, solve_bob_phase
+from .ghz import GhzSpec, bob_phases, ghz_state, menu_quality, parity_rule
 from .transcript import Transcript
 
 
@@ -306,42 +307,40 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
     heads = streams.stream_heads(base + (_ROUND_DOMAIN,), indices, roles + (_ROLE_MEASURE,))
     u = streams.random(heads[-1])
     if config.method is Method.METHOD1 or config.method2_menu_angles:
-        picks = (_menu_picks(base, start, role, h).tolist() for role, h in zip(roles, heads))
-        drawn = [[config.menu[k] for k in p] for p in picks]
+        picks = np.array([_menu_picks(base, start, role, h) for role, h in zip(roles, heads)])
+        drawn = np.array(config.menu)[picks]
+        # Rounds with the same menu picks have the same settings triple.
+        triple_id = np.ravel_multi_index(tuple(picks), (3,) * len(picks))
     else:
-        drawn = [streams.uniform_2pi(h).tolist() for h in heads[:-1]]
+        drawn = np.array([streams.uniform_2pi(h) for h in heads[:-1]])
+        triple_id = np.arange(n)  # continuous angles: every round its own triple
     if config.method is Method.METHOD1:
-        angles = list(zip(*drawn))
-        parity_of = {triple: is_super_classical(config.spec, triple) for triple in set(angles)}
+        phases, parity = drawn.T, parity_rule(config.spec, drawn.T)
     else:
-        pref = config.bob_parity_preference
-        angles = [(a, solve_bob_phase(config.spec, a, c, pref), c) for a, c in zip(*drawn)]
-        parity_of = dict.fromkeys(angles, pref)
+        phi_a, phi_c = drawn
+        phases = np.column_stack([phi_a, bob_phases(config.spec, phi_a, phi_c, config.bob_parity_preference), phi_c])
+        parity = np.full(n, config.bob_parity_preference)
 
     prepared = ghz_state(config.spec).reshape(2, 2, 2)
     rows, states = _transit(config, base, start, indices, prepared)
-    touched = np.zeros(n, dtype=bool)
-    touched[rows] = True
+    untouched = np.delete(np.arange(n), rows)
 
     # Each untouched round reads the probabilities of the first untouched
     # round with its settings triple.
+    _, first, inverse = np.unique(triple_id[untouched], return_index=True, return_inverse=True)
     owner = np.arange(n)
-    first = {}
-    for i in np.flatnonzero(~touched).tolist():
-        owner[i] = first.setdefault(angles[i], i)
-    kernel = np.concatenate([rows, np.array(list(first.values()), dtype=np.intp)])
+    owner[untouched] = untouched[first][inverse]
+    kernel = np.concatenate([rows, untouched[first]])
     states = np.concatenate([states, np.broadcast_to(prepared, (len(first), 2, 2, 2))])
     _check_states(states.reshape(len(kernel), 8))
-    phases = [angles[i] for i in kernel.tolist()]
-    bases = eigenbases(observables(config.mode, phases)).reshape(len(kernel), 3, 2, 2)
+    bases = eigenbases(observables(config.mode, phases[kernel])).reshape(len(kernel), 3, 2, 2)
     probs = np.empty((n, 8))
     probs[kernel] = joint_probs_batch(states, bases.swapaxes(0, 1))
 
     # Inverse-CDF pick, as searchsorted(cumsum(probs), u, side="right") per round.
     cum = np.cumsum(probs[owner], axis=1)
     ks = np.minimum((cum <= u[:, None]).sum(axis=1), 7)
-    parity = np.array([parity_of[triple] or 0 for triple in angles])
-    return np.array(angles), parity != 0, _OUTCOMES[ks], parity
+    return phases, parity != 0, _OUTCOMES[ks], parity
 
 
 # --------------------------------------------------------------------------
@@ -475,8 +474,12 @@ def run_three_party(
 # Serialization
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def bits_to_str(bits) -> str:
-    return "".join(str(int(b)) for b in bits)
+    """'0'/'1' text of a sequence or array of 0/1 bits."""
+    return np.asarray(bits, dtype=np.uint8).tobytes().translate(_BIT_CHARS).decode("ascii")
 
 
 def session_result_to_dict(result: SessionResult, reveal_secret: bool = False) -> dict:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzkd.adversary import (
     EveKind,
@@ -176,6 +178,61 @@ def test_oracle_monte_carlo_agreement_on_offset_grid():
         assert abs(v / n - oracle) <= 4 * _sigma(oracle, n)
 
 
+#: One-sided tail probability of a 4-sigma normal deviation.
+_FOUR_SIGMA_TAIL = 0.5 * math.erfc(4.0 / math.sqrt(2.0))
+
+
+def _within_four_sigma(violations, n, rate):
+    """Whether ``violations`` of ``n`` Binomial(n, rate) rounds lies within the 4-sigma band.
+
+    The band is set by exact binomial tails at the one-sided 4-sigma normal
+    tail probability, which the normal approximation overstates for small
+    rate * n: at rate 0 no violation is within it.
+    """
+    r = min(max(rate, 0.0), 1.0)
+    pmf = [math.comb(n, k) * r**k * (1.0 - r) ** (n - k) for k in range(n + 1)]
+    return min(sum(pmf[: violations + 1]), sum(pmf[violations:])) >= _FOUR_SIGMA_TAIL
+
+
+@st.composite
+def _monte_carlo_cases(draw):
+    spec = draw(st.sampled_from(GhzSpec.all_canonical()))
+    if draw(st.booleans()):
+        phases = draw(st.sampled_from([t for t, _ in super_classical_triples(MENU, spec)]))
+    else:
+        phi_a, phi_c = draw(st.floats(-7.0, 7.0)), draw(st.floats(-7.0, 7.0))
+        phases = (phi_a, solve_bob_phase(spec, phi_a, phi_c, draw(st.sampled_from([1, -1]))), phi_c)
+    return {
+        "spec": spec,
+        "phases": phases,
+        "mode": draw(st.sampled_from(list(Mode))),
+        "eve_angle": draw(st.none() | st.floats(-7.0, 7.0)),
+        "noise_p": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "n_rounds": draw(st.integers(50, 300)),
+    }
+
+
+# A correct estimator still leaves the band at a small rate per example, so
+# the examples are drawn the same way on every run.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_monte_carlo_cases())
+def test_monte_carlo_within_four_sigma_of_oracle(case):
+    p = case["noise_p"]
+    oracle = exact_violation_rate(case["spec"], case["phases"], case["mode"], eve_angle=case["eve_angle"], noise_p=p)
+    violations, n = monte_carlo_violation_rate(
+        case["spec"],
+        case["phases"],
+        case["mode"],
+        eve_angle=case["eve_angle"],
+        noise=NoiseModel.depolarizing(p) if p > 0 else NoiseModel.none(),
+        n_rounds=case["n_rounds"],
+        seed=case["seed"],
+    )
+    assert n == case["n_rounds"]
+    assert _within_four_sigma(violations, n, oracle), (violations, n, oracle)
+
+
 def test_same_angle_report_is_oracle_driven():
     # intercepting in the measured basis leaves the statistics untouched
     for mode in Mode:
@@ -299,6 +356,20 @@ def test_oracle_matches_closed_form_law():
         got = exact_violation_rate(spec, phases, mode, eve_angle=eve, noise_p=p, noise_qubits=qubits)
         worst = max(worst, abs(got - law))
     assert worst <= 1e-12
+
+
+def test_grid_sizes_and_angles_must_be_valid():
+    cfg = ProtocolConfig(method=Method.METHOD2, key_length=8)
+    for n_grid in (0, -3):
+        with pytest.raises(ValueError, match="n_grid"):
+            continuous_attack_rate(SPEC, 1, n_grid=n_grid)
+        with pytest.raises(ValueError, match="n_grid"):
+            impersonation_view_joint(cfg, n_grid=n_grid)
+    # One grid point is a valid (if coarse) average.
+    assert continuous_attack_rate(SPEC, 1, noise_p=0.2, n_grid=1) == pytest.approx((1 - 0.8**2) / 2, abs=1e-12)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            exact_violation_rate(SPEC, SC_TRIPLE, eve_angle=bad)
 
 
 def test_menu_attack_rates_match_per_triple_averages():

@@ -3,17 +3,24 @@
 import itertools
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzkd.core import Mode, MeasurementSetting, expectation, joint_outcome_distribution
 from ghzkd.ghz import (
+    SUPER_CLASSICAL_TOL,
     GhzSpec,
     analytic_expectation,
+    bob_phases,
     compatible_outcomes,
     ghz_state,
     is_super_classical,
     menu_quality,
+    parity_rule,
     predict_third,
     solve_bob_phase,
     super_classical_triples,
@@ -177,6 +184,92 @@ def test_solve_bob_phase_random_inputs():
         assert is_super_classical(spec, (phi_a, phi_b, phi_c)) == target
     with pytest.raises(ValueError):
         solve_bob_phase(specs[0], 0.0, 0.0, 2)
+
+
+# The scalar float arithmetic the array rules replaced, kept as their
+# reference: Python's float ``%``, in the same operation order.
+
+
+def _ref_parity(spec, phases, tol):
+    s1, s2, s3 = spec.signs
+    p1, p2, p3 = phases
+    r = (s1 * p1 + s2 * p2 + s3 * p3) % TWO_PI
+    if min(r, TWO_PI - r) <= tol:
+        return spec.phase
+    if abs(r - math.pi) <= tol:
+        return -spec.phase
+    return None
+
+
+def _ref_bob_phase(spec, phi_a, phi_c, target):
+    s1, s2, s3 = spec.signs
+    t = 0.0 if target == spec.phase else math.pi
+    return (s2 * (t - s1 * phi_a - s3 * phi_c)) % TWO_PI
+
+
+_QUARTER_TURNS = st.integers(-16, 16).map(lambda k: k * math.pi / 2)
+#: Negative angles, angles beyond +-2 pi, exact multiples of pi/2 and
+#: multiples of pi/2 nudged by about the tolerance.
+_ANGLES = st.one_of(
+    st.floats(-40.0, 40.0),
+    _QUARTER_TURNS,
+    st.tuples(_QUARTER_TURNS, st.floats(-3e-9, 3e-9)).map(sum),
+)
+
+
+@st.composite
+def _rule_cases(draw):
+    """A spec, a tolerance and phase triples, some with their signed sum within 1e-9 of the tolerance edge."""
+    spec = draw(st.sampled_from(GhzSpec.all_canonical()))
+    tol = draw(st.sampled_from([SUPER_CLASSICAL_TOL, 0.0, 1e-12, 1e-6, 0.25]) | st.floats(0.0, 1.0))
+    s1, s2, s3 = spec.signs
+    triples = []
+    for _ in range(draw(st.integers(1, 12))):
+        p1, p2 = draw(_ANGLES), draw(_ANGLES)
+        if draw(st.booleans()):
+            p3 = draw(_ANGLES)
+        else:
+            # The third angle puts the signed sum at k*pi +- (tol + about 1e-9).
+            edge = draw(st.sampled_from([1, -1])) * (tol + draw(st.floats(-1e-9, 1e-9)))
+            p3 = s3 * (draw(st.integers(-6, 6)) * math.pi + edge - s1 * p1 - s2 * p2)
+        triples.append((p1, p2, p3))
+    return spec, tol, triples
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rule_cases(), st.sampled_from([1, -1]))
+def test_array_rules_equal_scalar_float_arithmetic(case, target):
+    spec, tol, triples = case
+    want = [_ref_parity(spec, t, tol) for t in triples]
+    got = parity_rule(spec, triples, tol).tolist()
+    assert [p or None for p in got] == want
+    for triple, parity in zip(triples, want):
+        if parity is None:
+            assert is_super_classical(spec, triple, tol) is None
+        else:
+            assert is_super_classical(spec, triple, tol) == parity
+    phi_a, _, phi_c = zip(*triples)
+    want = [_ref_bob_phase(spec, a, c, target) for a, c in zip(phi_a, phi_c)]
+    assert bob_phases(spec, phi_a, phi_c, target).tolist() == want
+    assert [solve_bob_phase(spec, a, c, target) for a, c in zip(phi_a, phi_c)] == want
+
+
+def test_array_rules_on_non_finite_angles():
+    spec = GhzSpec("+-+", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, math.inf, -math.inf):
+            # No parity, as float % gives nan; the solve has no finite answer.
+            assert is_super_classical(spec, (bad, 0.0, 0.0)) is None
+            assert parity_rule(spec, [(0.0, 0.0, 0.0), (0.0, bad, 0.0)]).tolist() == [1, 0]
+            with pytest.raises(ValueError, match="finite"):
+                solve_bob_phase(spec, bad, 0.0, 1)
+            with pytest.raises(ValueError, match="finite"):
+                bob_phases(spec, [0.0, 1.0], [0.5, bad], -1)
+    with pytest.raises(ValueError, match="tolerance"):
+        parity_rule(spec, [(0.0, 0.0, 0.0)], tol=-1e-9)
+    with pytest.raises(ValueError, match="target parity"):
+        bob_phases(spec, [0.0], [0.0], 0)
 
 
 def _brute_force_quality(menu, spec, tol=1e-9):

@@ -451,6 +451,17 @@ def test_public_transcript_masks_private_fields():
     assert bits_to_str(result.key_sent) not in blob.replace('"', "")
 
 
+def test_bits_to_str_output_is_pinned():
+    from ghzkd.protocol import bits_to_str
+
+    bits = (1, 0, 1, 1, 0, 0, 0, 1, 1)
+    for form in (bits, list(bits), np.array(bits), np.array(bits, dtype=np.uint8), np.array(bits, dtype=bool)):
+        assert bits_to_str(form) == "101100011"
+    assert bits_to_str(()) == bits_to_str(np.array([], dtype=np.int64)) == ""
+    key = np.random.default_rng(3).integers(0, 2, size=4096)
+    assert bits_to_str(key) == bits_to_str(tuple(key.tolist())) == "".join(str(int(b)) for b in key)
+
+
 def test_session_result_serialization_masks_keys():
     result, _ = run_method2(_m2(key_length=8, seed=6))
     masked = session_result_to_dict(result, reveal_secret=False)
