@@ -8,8 +8,11 @@ array operations and summation order reproduce a one-state-at-a-time
 enumeration bit for bit.  Its set-up is array work too: the noise-branch
 table is built as arrays on each call, and the parities and the continuous
 grids' receiver angles come from ``ghz.parity_rule`` and ``ghz.bob_phases``.
-A Monte-Carlo estimator with the same channel pipeline sits alongside them;
-tests and sweeps compare the two rather than trusting either alone.
+A Monte-Carlo estimator sits alongside them; tests and sweeps compare the
+two rather than trusting either alone.  It plays its rounds through the
+sessions' own channel code, ``transit_batch`` and ``core.sample_joint_batch``,
+block by block, with every draw taken from one sequential generator in the
+order a one-round-at-a-time loop takes them.
 
 Channel pipeline for a round, matching the protocol runner: the prepared
 state passes noise on particles a and c (the two in transit), then an
@@ -29,16 +32,19 @@ from .core import (
     MeasurementSetting,
     PRODUCT_BY_INDEX,
     TWO_PI,
+    _MAX_BATCH,
     _check_states,
     _joint_probs,
     apply_1q_batch,
     eigenbases,
+    eigenbasis_for,
     measure_single,
     normalize_angle,
     normalize_angles,
     observables,
     project_single,  # no caller here; bench/spans.py traces the name
-    sample_joint,
+    sample_joint,  # no caller here; bench/spans.py traces the name
+    sample_joint_batch,
 )
 from .ghz import GhzSpec, bob_phases, ghz_state, is_super_classical, parity_rule, super_classical_triples
 from .transcript import Transcript
@@ -80,11 +86,6 @@ class EveStrategy:
         return cls(EveKind.IMPERSONATE_CHARLIE)
 
 
-class NoiseKind(enum.Enum):
-    NONE = "none"
-    DEPOLARIZING = "depolarizing"
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-qubit transit noise.
@@ -93,25 +94,22 @@ class NoiseModel:
     the maximally mixed state, realized by applying one of I, X, Y, Z chosen
     uniformly (branch sampled, so the engine stays on pure states).  At p=1
     the parity expectation of a deterministic round is exactly 0, giving a
-    violation rate of 1/2.
+    violation rate of 1/2.  Depolarizing(0) is the noiseless channel.
     """
 
-    kind: NoiseKind = NoiseKind.NONE
     p: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability must be in [0, 1], got {self.p!r}")
-        if self.kind is NoiseKind.NONE and self.p != 0.0:
-            raise ValueError("NoiseKind.NONE requires p == 0")
 
     @classmethod
     def none(cls) -> "NoiseModel":
-        return cls(NoiseKind.NONE, 0.0)
+        return cls(0.0)
 
     @classmethod
     def depolarizing(cls, p: float) -> "NoiseModel":
-        return cls(NoiseKind.DEPOLARIZING, float(p))
+        return cls(float(p))
 
 
 class Verdict(enum.Enum):
@@ -161,7 +159,7 @@ def apply_noise(state: np.ndarray, qubit: int, model: NoiseModel, rng: np.random
 
     With p == 0 the input array is returned untouched, bit for bit.
     """
-    if model.kind is NoiseKind.NONE or model.p == 0.0:
+    if model.p == 0.0:
         return state
     if rng.random() >= model.p:
         return state
@@ -193,23 +191,36 @@ def eve_intercept_resend(
     return post, EveInterceptRecord(setting.phase, outcome)
 
 
-def intercept_resend_batch(states: np.ndarray, bases: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``eve_intercept_resend`` for many rounds at once.
+def transit_batch(prepared, paulis, mode: Mode, eve_angles=None, eve_u=None):
+    """``apply_noise`` on particles a and c, then ``eve_intercept_resend``, for n rounds at once.
 
-    Row i measures particle a of ``states[i]`` (shape (n, 2, 2, 2)) in the
-    eigenbasis ``bases[i]`` (shape (n, 2, 2), +1 and -1 eigenvectors as
-    columns), takes outcome +1 when ``u[i]`` is below its Born probability,
-    as ``measure_single`` does with its draw, and returns the renormalized
-    collapsed states.
+    Every round starts in the ``prepared`` state (shape (2, 2, 2)).
+    ``paulis[:, j]`` (shape (2, n)) is the Pauli (0 = I, 1 = X, 2 = Y, 3 = Z)
+    the noise puts on round j's particles a and c.  With ``eve_angles`` (shape
+    (n,)) an eavesdropper then measures particle a of round j at angle
+    ``eve_angles[j]``, in the basis ``eigenbasis_for`` gives, takes outcome
+    +1 when ``eve_u[j]`` is below its Born probability, as ``measure_single``
+    does with its draw, and resends the renormalized collapsed state.
+
+    Returns the rounds the channel changes and their states, shape (m, 2, 2, 2).
     """
-    _check_states(states.reshape(len(states), 8))
-    rows = np.arange(len(states))
-    amps = apply_1q_batch(bases.conj().swapaxes(1, 2), states, 1)
-    probs = (np.abs(amps) ** 2).reshape(len(states), 2, 4).sum(axis=2)
-    branch = (u >= probs[:, 0]).astype(np.intp)
-    chi = bases[rows, :, branch]
-    norm = np.sqrt(probs[rows, branch])
-    return chi[:, :, None, None] * amps[rows, branch][:, None] / norm[:, None, None, None]
+    eve = eve_angles is not None
+    rows = np.flatnonzero(paulis.any(axis=0) | eve)
+    states = np.broadcast_to(prepared, (len(rows), 2, 2, 2))
+    for qubit, k in ((1, paulis[0, rows]), (3, paulis[1, rows])):
+        states = apply_1q_batch(PAULI_STACK[k], states, qubit)
+    if eve:  # every round is intercepted, so ``rows`` counts 0 to n - 1
+        _check_states(states.reshape(len(rows), 8))
+        angles, which = np.unique(eve_angles, return_inverse=True)
+        bases = [np.column_stack(eigenbasis_for(MeasurementSetting(mode, a))) for a in angles.tolist()]
+        eve_bases = np.stack(bases)[which]
+        amps = apply_1q_batch(eve_bases.conj().swapaxes(1, 2), states, 1)
+        probs = (np.abs(amps) ** 2).reshape(len(rows), 2, 4).sum(axis=2)
+        branch = (eve_u >= probs[:, 0]).astype(np.intp)
+        chi = eve_bases[rows, :, branch]
+        norm = np.sqrt(probs[rows, branch])
+        states = chi[:, :, None, None] * amps[rows, branch][:, None] / norm[:, None, None, None]
+    return rows, states
 
 
 def eve_impersonate_charlie(transcript: Transcript) -> list[dict]:
@@ -385,7 +396,8 @@ def _guess_rates(spec: GhzSpec, retained, menu_angles, mode: Mode, noise_p: floa
     """Rates of each retained triple under each menu Eve angle (triple-major), and their per-triple means."""
     triples = [triple for triple, _ in retained for _ in menu_angles]
     rates = _violation_rates(spec, triples, mode, menu_angles * len(retained), noise_p)
-    return rates, [sum(rates[i : i + 3]) / 3.0 for i in range(0, len(rates), 3)]
+    # Added left to right: Python 3.12's sum() of floats rounds differently.
+    return rates, [(a + b + c) / 3.0 for a, b, c in zip(rates[0::3], rates[1::3], rates[2::3])]
 
 
 def menu_attack_rates(
@@ -457,7 +469,36 @@ def menu_attack_summary(spec: GhzSpec, menu, mode: Mode = Mode.SPIN, noise_p: fl
 
 
 # --------------------------------------------------------------------------
-# Monte-Carlo estimator (same channel pipeline as the oracles)
+# Monte-Carlo estimator (the sessions' channel and sampler)
+
+
+def _sampled_outcomes(spec: GhzSpec, phases, mode: Mode, eve_angle: float | None, noise: NoiseModel, n_rounds, seed):
+    """The outcome triples of ``n_rounds`` rounds at one phase triple, in blocks of at most ``_MAX_BATCH``.
+
+    One generator seeded with ``SeedSequence(seed)`` supplies every draw, in
+    the order a round played alone takes them: ``random()`` for particle a
+    and ``integers(4)`` on a hit, the same for c (no noise draws at p = 0),
+    Eve's ``random()``, then the joint sample's ``random()``.  A draw-only
+    loop takes a block's draws; its physics is then array work.
+    """
+    prepared = ghz_state(spec).reshape(2, 2, 2)
+    angles = normalize_angles(phases)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    random, integers, p = rng.random, rng.integers, noise.p
+    for start in range(0, n_rounds, _MAX_BATCH):
+        n = min(_MAX_BATCH, n_rounds - start)
+        paulis, eve_u, u = np.zeros((2, n), dtype=np.intp), np.zeros(n), np.zeros(n)
+        for j in range(n):
+            for particle in (0, 1) if p != 0.0 else ():
+                if random() < p:
+                    paulis[particle, j] = integers(4)
+            if eve_angle is not None:
+                eve_u[j] = random()
+            u[j] = random()
+        eve_angles = None if eve_angle is None else np.full(n, eve_angle)
+        rows, states = transit_batch(prepared, paulis, mode, eve_angles, eve_u)
+        # One settings triple for every round.
+        yield sample_joint_batch(prepared, rows, states, mode, np.tile(angles, (n, 1)), np.zeros(n, np.intp), u)
 
 
 def monte_carlo_violation_rate(
@@ -474,20 +515,8 @@ def monte_carlo_violation_rate(
     parity = is_super_classical(spec, phases)
     if parity is None:
         raise ValueError(f"phases {tuple(phases)} are not super-classical for {spec}")
-    settings = _settings(mode, phases)
-    base = ghz_state(spec)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    violations = 0
-    for _ in range(n_rounds):
-        state = base
-        if noise.p > 0.0:
-            state = apply_noise(state, 1, noise, rng)
-            state = apply_noise(state, 3, noise, rng)
-        if eve_angle is not None:
-            state, _ = eve_intercept_resend(state, eve_angle, rng, mode)
-        r1, r2, r3 = sample_joint(state, settings, rng)
-        violations += int(r1 * r2 * r3 != parity)
-    return violations, n_rounds
+    blocks = _sampled_outcomes(spec, phases, mode, eve_angle, noise, n_rounds, seed)
+    return sum(int(np.count_nonzero(outcomes.prod(axis=1) != parity)) for outcomes in blocks), n_rounds
 
 
 # --------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def _build_config(args, seed: int) -> ProtocolConfig:
         eve = EveStrategy.intercept_resend_a(args.eve_angle)
     else:
         eve = EveStrategy.impersonate_charlie()
-    noise = NoiseModel.depolarizing(args.noise_p) if args.noise_p > 0 else NoiseModel.none()
+    noise = NoiseModel.depolarizing(args.noise_p)
 
     method = Method.METHOD1 if args.method == "1" else Method.METHOD2
     if args.method == "3party":
@@ -331,7 +331,7 @@ def cmd_sweep(args) -> int:
     oracles = [exact_violation_rate(spec, phases, mode, eve_angle=e, noise_p=p) for e, p in channels]
 
     for value, oracle, (eve_angle, noise_p) in zip(values, oracles, channels):
-        noise = NoiseModel.depolarizing(noise_p) if noise_p > 0 else NoiseModel.none()
+        noise = NoiseModel.depolarizing(noise_p)
         v, n = monte_carlo_violation_rate(
             spec, phases, mode, eve_angle=eve_angle, noise=noise, n_rounds=args.mc_rounds, seed=seed
         )

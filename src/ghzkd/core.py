@@ -235,25 +235,20 @@ def tensor3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _check_state(state: np.ndarray, dim: int = 8) -> np.ndarray:
+    """``_check_states`` of one state vector, after checking its shape."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):
         raise ValueError(f"expected a state vector of dimension {dim}, got shape {state.shape}")
-    if not np.all(np.isfinite(state.view(float))):
-        raise ValueError("state vector contains non-finite amplitudes")
-    norm_sq = float(np.sum(np.abs(state) ** 2))
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValueError(f"state vector is not normalized: sum |amp|^2 = {norm_sq!r}")
+    _check_states(state[None])
     return state
 
 
 def _check_states(states: np.ndarray) -> np.ndarray:
-    """``_check_state`` for every row of ``states`` (shape (n, 8)).
+    """Reject any row of ``states`` (shape (n, dim)) that is not a finite, normalized state vector.
 
-    Kept apart from ``_check_state``, whose scalar arithmetic is about twice
-    as fast on one vector (10 vs 18 us).  Sessions and the exact oracles
-    check their states here in batches; the scalar check's one bulk caller
-    is ``adversary.monte_carlo_violation_rate``, which plays one round at a
-    time (30,000 checks in a default ``ghzkd sweep --variable eve-angle``).
+    The one state check: sessions, the Monte-Carlo estimator and the exact
+    oracles check their states here in batches, and ``_check_state`` is its
+    one-row view for the scalar functions.
     """
     if not np.all(np.isfinite(states)):
         raise ValueError("state vector contains non-finite amplitudes")
@@ -323,6 +318,36 @@ def joint_probs_batch(states: np.ndarray, bases) -> np.ndarray:
     for qubit, basis in enumerate(bases, start=1):
         amps = apply_1q_batch(basis.conj().swapaxes(1, 2), amps, qubit)
     return (np.abs(amps) ** 2).reshape(len(amps), 8)
+
+
+#: Most rounds sampled in one batch; bounds a long run's working memory.
+_MAX_BATCH = 4096
+
+
+def sample_joint_batch(prepared, rows, states, mode: Mode, phases, triple_id, u) -> np.ndarray:
+    """``sample_joint`` for a batch of n rounds: their outcome triples, shape (n, 3).
+
+    Round j is measured at ``phases[j]`` with draw ``u[j]``.  The rounds
+    ``rows`` are in ``states`` (shape (m, 2, 2, 2)); every other round is in
+    the ``prepared`` state (2, 2, 2) and reads the probabilities of the first
+    such round with its settings triple (equal ``triple_id``).
+    """
+    n = len(u)
+    untouched = np.delete(np.arange(n), rows)
+    _, first, inverse = np.unique(triple_id[untouched], return_index=True, return_inverse=True)
+    owner = np.arange(n)
+    owner[untouched] = untouched[first][inverse]
+    kernel = np.concatenate([rows, untouched[first]])
+    states = np.concatenate([states, np.broadcast_to(prepared, (len(first), 2, 2, 2))])
+    _check_states(states.reshape(len(kernel), 8))
+    bases = eigenbases(observables(mode, phases[kernel])).reshape(len(kernel), 3, 2, 2)
+    probs = np.empty((n, 8))
+    probs[kernel] = joint_probs_batch(states, bases.swapaxes(0, 1))
+
+    # Inverse-CDF pick, as searchsorted(cumsum(probs), u, side="right") per round.
+    cum = np.cumsum(probs[owner], axis=1)
+    ks = np.minimum((cum <= u[:, None]).sum(axis=1), 7)
+    return np.array(OUTCOME_TRIPLES)[ks]
 
 
 def joint_outcome_distribution(state: np.ndarray, settings) -> dict[tuple[int, int, int], float]:

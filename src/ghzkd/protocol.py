@@ -31,28 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .adversary import (
-    PAULI_STACK,
-    DetectionReport,
-    EveKind,
-    EveStrategy,
-    NoiseModel,
-    detect,
-    detection_report_to_dict,
-    intercept_resend_batch,
-)
-from .core import (
-    OUTCOME_TRIPLES,
-    Mode,
-    MeasurementSetting,
-    _check_states,
-    apply_1q_batch,
-    eigenbases,
-    eigenbasis_for,
-    joint_probs_batch,
-    normalize_angle,
-    observables,
-)
+from .adversary import DetectionReport, EveKind, EveStrategy, NoiseModel, detect, detection_report_to_dict
+from .adversary import transit_batch
+from .core import _MAX_BATCH, Mode, normalize_angle, sample_joint_batch
 
 # Rounds no longer call ``sample_joint``, ``apply_noise`` or
 # ``eve_intercept_resend``; the names stay importable here because
@@ -84,11 +65,6 @@ _ROLE_ALICE, _ROLE_BOB, _ROLE_CHARLIE, _ROLE_NOISE, _ROLE_EVE, _ROLE_MEASURE = r
 #: Method 1 keeps an 8x round budget per key bit by default; retention above
 #: one third makes exhaustion a multi-sigma fluke at that multiplier.
 MAX_ROUNDS_FACTOR_METHOD1 = 8
-
-#: Most rounds played in one batch; bounds a long session's working memory.
-_MAX_BATCH = 4096
-
-_OUTCOMES = np.array(OUTCOME_TRIPLES)
 
 
 @dataclass(frozen=True)
@@ -262,26 +238,6 @@ def _eve_draws(config: ProtocolConfig, base: tuple[int, int], start: int, indice
     return guess, u
 
 
-def _transit(config: ProtocolConfig, base: tuple[int, int], start: int, indices: np.ndarray, prepared: np.ndarray):
-    """The rounds whose state the channel changes, and their states after it, shape (m, 2, 2, 2).
-
-    Noise on particles a and c, then the intercept on a, as ``apply_noise``
-    and ``eve_intercept_resend`` play one round.
-    """
-    paulis = _transit_paulis(config, base, indices)
-    eve = config.eve.kind is EveKind.INTERCEPT_RESEND_A
-    rows = np.flatnonzero(paulis.any(axis=0) | eve)
-    states = np.broadcast_to(prepared, (len(rows), 2, 2, 2))
-    for qubit, k in ((1, paulis[0, rows]), (3, paulis[1, rows])):
-        states = apply_1q_batch(PAULI_STACK[k], states, qubit)
-    if eve:
-        guess, u = _eve_draws(config, base, start, indices)
-        angles = config.menu if config.eve.fixed_angle is None else (config.eve.fixed_angle,)
-        bases = np.stack([np.column_stack(eigenbasis_for(MeasurementSetting(config.mode, a))) for a in angles])
-        states = intercept_resend_batch(states, bases[guess[rows]], u[rows])
-    return rows, states
-
-
 def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop: int):
     """Rounds ``start`` to ``stop - 1`` as columns: angle draws, transit, measurement.
 
@@ -293,10 +249,10 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
     Each round reads only its own streams, so a round's result depends on
     (config, base entropy, round index) alone, never on the batch it is
     played in or on other rounds.  Every stream's draws are derived for the
-    whole batch at once, and transit (noise on particles a and c, then the
-    intercept on a) and the Born probabilities are array operations over the
-    batch.  Rounds the channel leaves untouched share the prepared state's
-    probabilities once per distinct settings triple.
+    whole batch at once; transit (noise on particles a and c, then the
+    intercept on a) is ``adversary.transit_batch`` and the measurement
+    ``core.sample_joint_batch``, the channel and sampler the Monte-Carlo
+    estimator uses too.
     """
     if config.method is Method.METHOD1:
         roles = (_ROLE_ALICE, _ROLE_BOB, _ROLE_CHARLIE)
@@ -322,25 +278,13 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
         parity = np.full(n, config.bob_parity_preference)
 
     prepared = ghz_state(config.spec).reshape(2, 2, 2)
-    rows, states = _transit(config, base, start, indices, prepared)
-    untouched = np.delete(np.arange(n), rows)
-
-    # Each untouched round reads the probabilities of the first untouched
-    # round with its settings triple.
-    _, first, inverse = np.unique(triple_id[untouched], return_index=True, return_inverse=True)
-    owner = np.arange(n)
-    owner[untouched] = untouched[first][inverse]
-    kernel = np.concatenate([rows, untouched[first]])
-    states = np.concatenate([states, np.broadcast_to(prepared, (len(first), 2, 2, 2))])
-    _check_states(states.reshape(len(kernel), 8))
-    bases = eigenbases(observables(config.mode, phases[kernel])).reshape(len(kernel), 3, 2, 2)
-    probs = np.empty((n, 8))
-    probs[kernel] = joint_probs_batch(states, bases.swapaxes(0, 1))
-
-    # Inverse-CDF pick, as searchsorted(cumsum(probs), u, side="right") per round.
-    cum = np.cumsum(probs[owner], axis=1)
-    ks = np.minimum((cum <= u[:, None]).sum(axis=1), 7)
-    return phases, parity != 0, _OUTCOMES[ks], parity
+    eve_angles = eve_u = None
+    if config.eve.kind is EveKind.INTERCEPT_RESEND_A:
+        guess, eve_u = _eve_draws(config, base, start, indices)
+        eve_angles = np.array(config.menu if config.eve.fixed_angle is None else (config.eve.fixed_angle,))[guess]
+    rows, states = transit_batch(prepared, _transit_paulis(config, base, indices), config.mode, eve_angles, eve_u)
+    outcomes = sample_joint_batch(prepared, rows, states, config.mode, phases, triple_id, u)
+    return phases, parity != 0, outcomes, parity
 
 
 # --------------------------------------------------------------------------
