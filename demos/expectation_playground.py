@@ -28,6 +28,11 @@ from ghzkd import (
 rng = np.random.default_rng(2024)
 
 
+def zero_in_theory(x: float) -> str:
+    """A value that exact arithmetic makes 0: below 1e-12 it prints as '< 1e-12', not as round-off."""
+    return "< 1e-12" if abs(x) < 1e-12 else f"= {x:.3e}"
+
+
 def settings(mode, phases):
     return tuple(MeasurementSetting(mode, p) for p in phases)
 
@@ -55,8 +60,8 @@ theta, delta = rng.uniform(0, 2 * math.pi, size=2)
 w = wave_retarder(delta)
 product = w.conj().T @ polarization_analyzer(theta) @ w
 closed = make_retarded_analyzer(theta, delta)
-print(f"  theta={theta:.4f} delta={delta:.4f}  max |product - closed| = "
-      f"{np.max(np.abs(product - closed)):.2e}")
+print(f"  theta={theta:.4f} delta={delta:.4f}  max |product - closed| "
+      f"{zero_in_theory(np.max(np.abs(product - closed)))}")
 
 print()
 print("=== Deterministic parity: sums of 0 or pi pin the outcome product ===")

@@ -23,6 +23,12 @@ from ghzkd import (
     spin_setting,
 )
 
+
+def zero_in_theory(x: float) -> str:
+    """A value that exact arithmetic makes 0: below 1e-12 it prints as '< 1e-12', not as round-off."""
+    return "< 1e-12" if abs(x) < 1e-12 else f"= {x:.3e}"
+
+
 config = ProtocolConfig(method=Method.METHOD2, key_length=16, seed=97)
 (run1, t1), (run2, t2) = run_three_party(config)
 
@@ -40,7 +46,7 @@ print("=== Reusing K for two pads leaks nothing ===")
 s1 = tuple(spin_setting(x) for x in (0.0, math.pi / 2, math.pi / 2))
 s2 = tuple(spin_setting(x) for x in (0.9, 1.3, 0.4))
 info = pad_reuse_information(GhzSpec("+++", -1), s1, GhzSpec("++-", -1), s2)
-print(f"I(D1,D2 ; K) by exhaustive enumeration: {info:.3e} bits")
+print(f"I(D1,D2 ; K) by exhaustive enumeration {zero_in_theory(info)} bits")
 
 print()
 print("=== An impersonator in Charlie's seat stays blind ===")
@@ -53,7 +59,7 @@ for preference in (1, -1):
         eve=EveStrategy.impersonate_charlie(),
     )
     info = mutual_information(impersonation_view_joint(cfg))
-    print(f"  parity preference {preference:+d}: I(view ; K) = {info:.3e} bits")
+    print(f"  parity preference {preference:+d}: I(view ; K) {zero_in_theory(info)} bits")
 
 joint = impersonation_view_joint(
     ProtocolConfig(method=Method.METHOD2, key_length=1, seed=1, eve=EveStrategy.impersonate_charlie()),

@@ -33,7 +33,6 @@ from .adversary import (
     exact_violation_rate,
     impersonation_view_joint,
     menu_attack_rates,
-    monte_carlo_violation_rate,
     mutual_information,
     pad_reuse_information,
 )
@@ -42,6 +41,7 @@ from .protocol import (
     ProtocolConfig,
     bit_of,
     bits_to_str,
+    monte_carlo_violation_rate,
     run_method1,
     run_method2,
     run_three_party,

@@ -8,11 +8,9 @@ array operations and summation order reproduce a one-state-at-a-time
 enumeration bit for bit.  Its set-up is array work too: the noise-branch
 table is built as arrays on each call, and the parities and the continuous
 grids' receiver angles come from ``ghz.parity_rule`` and ``ghz.bob_phases``.
-A Monte-Carlo estimator sits alongside them; tests and sweeps compare the
-two rather than trusting either alone.  It plays its rounds through the
-sessions' own channel code, ``transit_batch`` and ``core.sample_joint_batch``,
-block by block, with every draw taken from one sequential generator in the
-order a one-round-at-a-time loop takes them.
+The Monte-Carlo estimator they are checked against,
+``protocol.monte_carlo_violation_rate``, plays real session rounds; tests
+and sweeps compare the two rather than trusting either alone.
 
 Channel pipeline for a round, matching the protocol runner: the prepared
 state passes noise on particles a and c (the two in transit), then an
@@ -32,7 +30,6 @@ from .core import (
     MeasurementSetting,
     PRODUCT_BY_INDEX,
     TWO_PI,
-    _MAX_BATCH,
     _check_states,
     _joint_probs,
     apply_1q_batch,
@@ -44,9 +41,8 @@ from .core import (
     observables,
     project_single,  # no caller here; bench/spans.py traces the name
     sample_joint,  # no caller here; bench/spans.py traces the name
-    sample_joint_batch,
 )
-from .ghz import GhzSpec, bob_phases, ghz_state, is_super_classical, parity_rule, super_classical_triples
+from .ghz import GhzSpec, bob_phases, ghz_state, parity_rule, super_classical_triples
 from .transcript import Transcript
 
 
@@ -248,8 +244,8 @@ def detect(transcript: Transcript, threshold: float, parity_class: int = 1) -> D
     parity.  The verdict uses only the designated class; counts for both
     classes are reported.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    if not threshold >= 0.0:  # also rejects NaN, which compares false with every rate
+        raise ValueError(f"threshold must be non-negative, got {threshold!r}")
     if parity_class not in (1, -1):
         raise ValueError(f"parity_class must be +1 or -1, got {parity_class!r}")
     # A discarded round has parity 0, so each class holds retained rounds only.
@@ -466,57 +462,6 @@ def menu_attack_summary(spec: GhzSpec, menu, mode: Mode = Mode.SPIN, noise_p: fl
         "by_eve_angle": {a: _menu_rates(retained, rates[j::3]).overall for j, a in enumerate(menu_angles)},
         "by_triple": {triple: rate for (triple, _), rate in zip(retained, guessed)},
     }
-
-
-# --------------------------------------------------------------------------
-# Monte-Carlo estimator (the sessions' channel and sampler)
-
-
-def _sampled_outcomes(spec: GhzSpec, phases, mode: Mode, eve_angle: float | None, noise: NoiseModel, n_rounds, seed):
-    """The outcome triples of ``n_rounds`` rounds at one phase triple, in blocks of at most ``_MAX_BATCH``.
-
-    One generator seeded with ``SeedSequence(seed)`` supplies every draw, in
-    the order a round played alone takes them: ``random()`` for particle a
-    and ``integers(4)`` on a hit, the same for c (no noise draws at p = 0),
-    Eve's ``random()``, then the joint sample's ``random()``.  A draw-only
-    loop takes a block's draws; its physics is then array work.
-    """
-    prepared = ghz_state(spec).reshape(2, 2, 2)
-    angles = normalize_angles(phases)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    random, integers, p = rng.random, rng.integers, noise.p
-    for start in range(0, n_rounds, _MAX_BATCH):
-        n = min(_MAX_BATCH, n_rounds - start)
-        paulis, eve_u, u = np.zeros((2, n), dtype=np.intp), np.zeros(n), np.zeros(n)
-        for j in range(n):
-            for particle in (0, 1) if p != 0.0 else ():
-                if random() < p:
-                    paulis[particle, j] = integers(4)
-            if eve_angle is not None:
-                eve_u[j] = random()
-            u[j] = random()
-        eve_angles = None if eve_angle is None else np.full(n, eve_angle)
-        rows, states = transit_batch(prepared, paulis, mode, eve_angles, eve_u)
-        # One settings triple for every round.
-        yield sample_joint_batch(prepared, rows, states, mode, np.tile(angles, (n, 1)), np.zeros(n, np.intp), u)
-
-
-def monte_carlo_violation_rate(
-    spec: GhzSpec,
-    phases,
-    mode: Mode = Mode.SPIN,
-    *,
-    eve_angle: float | None = None,
-    noise: NoiseModel = NoiseModel.none(),
-    n_rounds: int = 2000,
-    seed: int = 0,
-) -> tuple[int, int]:
-    """(violations, rounds) sampled at a fixed super-classical phase triple."""
-    parity = is_super_classical(spec, phases)
-    if parity is None:
-        raise ValueError(f"phases {tuple(phases)} are not super-classical for {spec}")
-    blocks = _sampled_outcomes(spec, phases, mode, eve_angle, noise, n_rounds, seed)
-    return sum(int(np.count_nonzero(outcomes.prod(axis=1) != parity)) for outcomes in blocks), n_rounds
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .adversary import (
     calibrate_threshold,
     exact_violation_rate,
     menu_attack_summary,
-    monte_carlo_violation_rate,
 )
 from .core import Mode, MeasurementSetting, expectation
 from .ghz import GhzSpec, analytic_expectation, ghz_state, is_super_classical, solve_bob_phase, super_classical_triples
@@ -40,6 +39,7 @@ from .protocol import (
     KeyExhausted,
     Method,
     ProtocolConfig,
+    monte_carlo_violation_rate,
     run_method1,
     run_method2,
     run_three_party,

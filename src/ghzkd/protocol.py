@@ -20,6 +20,9 @@ those for a whole batch of rounds at once; ``tests/test_streams.py`` pins
 that module to numpy's SeedSequence, PCG64 and Lemire algorithms.  Only a
 bounded integer that numpy's Lemire rule rejects (odds 2**-32) sends its
 round to a real numpy generator.
+
+Sessions are runs 1 and 2; the Monte-Carlo estimator,
+``monte_carlo_violation_rate``, plays run 0's rounds at one fixed triple.
 """
 
 from __future__ import annotations
@@ -33,14 +36,14 @@ import numpy as np
 from . import streams
 from .adversary import DetectionReport, EveKind, EveStrategy, NoiseModel, detect, detection_report_to_dict
 from .adversary import transit_batch
-from .core import _MAX_BATCH, Mode, normalize_angle, sample_joint_batch
+from .core import _MAX_BATCH, Mode, normalize_angle, normalize_angles, sample_joint_batch
 
 # Rounds no longer call ``sample_joint``, ``apply_noise`` or
 # ``eve_intercept_resend``; the names stay importable here because
 # bench/spans.py traces them as ``protocol.<name>``.
 from .adversary import apply_noise, eve_intercept_resend  # noqa: F401
 from .core import sample_joint  # noqa: F401
-from .ghz import GhzSpec, bob_phases, ghz_state, menu_quality, parity_rule
+from .ghz import GhzSpec, bob_phases, ghz_state, is_super_classical, menu_quality, parity_rule
 from .transcript import Transcript
 
 
@@ -217,7 +220,7 @@ def _transit_paulis(config: ProtocolConfig, base: tuple[int, int], indices: np.n
     return paulis
 
 
-def _eve_draws(config: ProtocolConfig, base: tuple[int, int], start: int, indices: np.ndarray):
+def _eve_draws(config: ProtocolConfig, base: tuple[int, int], indices: np.ndarray):
     """Each round's intercept angle, as an index into the menu (0 for a fixed angle), and her draw.
 
     A guessing eavesdropper takes ``integers(3)`` (output 1's low half) and
@@ -233,7 +236,7 @@ def _eve_draws(config: ProtocolConfig, base: tuple[int, int], start: int, indice
     guess, rejected = streams.integers3(out[0])
     u = streams.random(out[1])
     for j in np.flatnonzero(rejected):
-        rng = _round_rng(base, start + int(j), _ROLE_EVE)
+        rng = _round_rng(base, int(indices[j]), _ROLE_EVE)
         guess[j], u[j] = rng.integers(3), rng.random()
     return guess, u
 
@@ -249,10 +252,7 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
     Each round reads only its own streams, so a round's result depends on
     (config, base entropy, round index) alone, never on the batch it is
     played in or on other rounds.  Every stream's draws are derived for the
-    whole batch at once; transit (noise on particles a and c, then the
-    intercept on a) is ``adversary.transit_batch`` and the measurement
-    ``core.sample_joint_batch``, the channel and sampler the Monte-Carlo
-    estimator uses too.
+    whole batch at once; transit and measurement are ``_transit_and_measure``.
     """
     if config.method is Method.METHOD1:
         roles = (_ROLE_ALICE, _ROLE_BOB, _ROLE_CHARLIE)
@@ -277,14 +277,64 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
         phases = np.column_stack([phi_a, bob_phases(config.spec, phi_a, phi_c, config.bob_parity_preference), phi_c])
         parity = np.full(n, config.bob_parity_preference)
 
+    outcomes = _transit_and_measure(config, base, indices, phases, triple_id, u)
+    return phases, parity != 0, outcomes, parity
+
+
+def _transit_and_measure(config: ProtocolConfig, base: tuple[int, int], indices: np.ndarray, phases, triple_id, u):
+    """The outcome triples (n, 3) of rounds ``indices``, measured at ``phases``.
+
+    Transit (noise on particles a and c, then the intercept on a) is
+    ``adversary.transit_batch``, with the noise and eavesdropper draws from
+    each round's own streams; the measurement is ``core.sample_joint_batch``
+    with draws ``u``.  Rounds with equal ``triple_id`` share a settings triple.
+    """
     prepared = ghz_state(config.spec).reshape(2, 2, 2)
     eve_angles = eve_u = None
     if config.eve.kind is EveKind.INTERCEPT_RESEND_A:
-        guess, eve_u = _eve_draws(config, base, start, indices)
+        guess, eve_u = _eve_draws(config, base, indices)
         eve_angles = np.array(config.menu if config.eve.fixed_angle is None else (config.eve.fixed_angle,))[guess]
     rows, states = transit_batch(prepared, _transit_paulis(config, base, indices), config.mode, eve_angles, eve_u)
-    outcomes = sample_joint_batch(prepared, rows, states, config.mode, phases, triple_id, u)
-    return phases, parity != 0, outcomes, parity
+    return sample_joint_batch(prepared, rows, states, config.mode, phases, triple_id, u)
+
+
+def _fixed_triple_outcomes(config: ProtocolConfig, phases, n_rounds: int, seed: int):
+    """The outcomes of rounds 0 to ``n_rounds - 1`` of run 0 at ``phases``, in blocks of at most ``_MAX_BATCH``.
+
+    A round reads its streams as a session round does, but draws no angles.
+    """
+    base = (seed, 0)
+    angles = normalize_angles(phases)
+    for start in range(0, n_rounds, _MAX_BATCH):
+        indices = np.arange(start, min(n_rounds, start + _MAX_BATCH), dtype=np.uint64)
+        u = streams.random(streams.stream_heads(base + (_ROUND_DOMAIN,), indices, (_ROLE_MEASURE,))[0])
+        n = len(indices)
+        yield _transit_and_measure(config, base, indices, np.tile(angles, (n, 1)), np.zeros(n, np.intp), u)
+
+
+def monte_carlo_violation_rate(
+    spec: GhzSpec,
+    phases,
+    mode: Mode = Mode.SPIN,
+    *,
+    eve_angle: float | None = None,
+    noise: NoiseModel = NoiseModel.none(),
+    n_rounds: int = 2000,
+    seed: int = 0,
+) -> tuple[int, int]:
+    """(violations, rounds) of ``n_rounds`` session rounds played at a fixed super-classical phase triple.
+
+    An eavesdropper, if any, intercepts particle a at ``eve_angle``.
+    """
+    if n_rounds < 1:
+        raise ValueError(f"n_rounds must be a positive integer, got {n_rounds!r}")
+    parity = is_super_classical(spec, phases)
+    if parity is None:
+        raise ValueError(f"phases {tuple(phases)} are not super-classical for {spec}")
+    eve = EveStrategy.none() if eve_angle is None else EveStrategy.intercept_resend_a(eve_angle)
+    config = ProtocolConfig(Method.METHOD2, spec, mode, eve=eve, noise=noise)
+    blocks = _fixed_triple_outcomes(config, phases, n_rounds, seed)
+    return sum(int(np.count_nonzero(outcomes.prod(axis=1) != parity)) for outcomes in blocks), n_rounds
 
 
 # --------------------------------------------------------------------------

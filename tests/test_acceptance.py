@@ -20,7 +20,6 @@ from ghzkd.adversary import (
     continuous_attack_rate,
     exact_violation_rate,
     impersonation_view_joint,
-    monte_carlo_violation_rate,
     mutual_information,
     pad_reuse_information,
 )
@@ -38,6 +37,7 @@ from ghzkd.protocol import (
     Method,
     ProtocolConfig,
     bit_of,
+    monte_carlo_violation_rate,
     encode_bit,
     recover_alice_bit,
     recover_key_bit,

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzkd.adversary import (
@@ -15,7 +15,6 @@ from ghzkd.adversary import (
     NoRetainedRounds,
     NoiseModel,
     Verdict,
-    _sampled_outcomes,
     _violation_rates,
     apply_noise,
     calibrate_threshold,
@@ -27,23 +26,20 @@ from ghzkd.adversary import (
     impersonation_view_joint,
     menu_attack_rates,
     menu_attack_summary,
-    monte_carlo_violation_rate,
     mutual_information,
     pad_reuse_information,
 )
 from ghzkd.core import (
-    _MAX_BATCH,
     PRODUCT_BY_INDEX,
     Mode,
     MeasurementSetting,
     _joint_probs,
     born_probabilities,
     eigenbasis_for,
-    sample_joint,
     spin_setting,
 )
 from ghzkd.ghz import GhzSpec, ghz_state, is_super_classical, solve_bob_phase, super_classical_triples
-from ghzkd.protocol import Method, ProtocolConfig, run_method1, run_method2
+from ghzkd.protocol import Method, ProtocolConfig, monte_carlo_violation_rate, run_method1, run_method2
 
 SPEC = GhzSpec("+++", -1)
 MENU = (0.0, math.pi / 2, math.pi)
@@ -233,74 +229,16 @@ def test_monte_carlo_within_four_sigma_of_oracle(case):
     assert _within_four_sigma(violations, n, oracle), (violations, n, oracle)
 
 
-# The one-round-at-a-time loop the batched estimator replaced, kept as its
-# reference: the scalar channel and sampler, all drawing from one generator.
-
-
-def _ref_sampled_outcomes(spec, phases, mode, eve_angle, noise, n_rounds, seed):
-    settings = tuple(MeasurementSetting(mode, p) for p in phases)
-    base = ghz_state(spec)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    outcomes = []
-    for _ in range(n_rounds):
-        state = base
-        if noise.p > 0.0:
-            state = apply_noise(state, 1, noise, rng)
-            state = apply_noise(state, 3, noise, rng)
-        if eve_angle is not None:
-            state, _ = eve_intercept_resend(state, eve_angle, rng, mode)
-        outcomes.append(sample_joint(state, settings, rng))
-    return outcomes
-
-
-@st.composite
-def _sampling_cases(draw):
-    case = draw(_monte_carlo_cases())
-    eve = draw(st.sampled_from(["none", "at-phi-a", "random"]))
-    case["eve_angle"] = {"none": None, "at-phi-a": case["phases"][0], "random": case["eve_angle"] or 0.0}[eve]
-    case["n_rounds"] = draw(st.integers(1, 300))
-    return case
-
-
-@settings(max_examples=40, deadline=None)
-@given(_sampling_cases())
-@example(
-    {
-        "spec": GhzSpec("+-+", 1),
-        "phases": (0.3, solve_bob_phase(GhzSpec("+-+", 1), 0.3, 2.0, -1), 2.0),
-        "mode": Mode.POLARIZATION,
-        "eve_angle": 1.1,
-        "noise_p": 0.3,
-        "seed": 12345,
-        "n_rounds": _MAX_BATCH + 904,  # two blocks
-    }
-)
-def test_batched_monte_carlo_equals_scalar_loop(case):
-    args = (case["spec"], case["phases"], case["mode"], case["eve_angle"], NoiseModel.depolarizing(case["noise_p"]))
-    n, seed = case["n_rounds"], case["seed"]
-    blocks = list(_sampled_outcomes(*args, n, seed))
-    assert all(len(block) <= _MAX_BATCH for block in blocks)
-    got = np.concatenate(blocks)
-    want = np.array(_ref_sampled_outcomes(*args, n, seed))
-    assert got.shape == want.shape == (n, 3)
-    assert int(np.count_nonzero((got != want).any(axis=1))) == 0
-    parity = is_super_classical(case["spec"], case["phases"])
-    violations = int(np.count_nonzero(want.prod(axis=1) != parity))
-    spec, phases, mode, eve_angle, noise = args
-    assert monte_carlo_violation_rate(
-        spec, phases, mode, eve_angle=eve_angle, noise=noise, n_rounds=n, seed=seed
-    ) == (violations, n)
-
-
 def test_sweep_runs_no_scalar_round_engine(monkeypatch, capsys):
-    from ghzkd import adversary
+    from ghzkd import adversary, protocol
     from ghzkd.cli import main
 
     def scalar_round(*args, **kwargs):
         raise AssertionError("sweep played a round through the scalar engine")
 
-    for name in ("apply_noise", "eve_intercept_resend", "sample_joint"):
-        monkeypatch.setattr(adversary, name, scalar_round)
+    for module in (adversary, protocol):
+        for name in ("apply_noise", "eve_intercept_resend", "sample_joint"):
+            monkeypatch.setattr(module, name, scalar_round)
     menu = ["--menu", "0,pi/2,pi"]
     for argv in (["--variable", "eve-angle", "--noise-p", "0.1", *menu], ["--variable", "noise-p"]):
         assert main(["sweep", *argv, "--seed", "1", "--mc-rounds", "50"]) == 0
@@ -481,8 +419,10 @@ def test_detect_clean_and_thresholds():
     assert report.violations == 0
     assert report.verdict is Verdict.CLEAN
     assert report.class_counts[1][0] + report.class_counts[-1][0] == 32
-    with pytest.raises(ValueError):
-        detect(transcript, threshold=-0.1)
+    # A NaN threshold compares false with every rate, so it would clear any session.
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="non-negative"):
+            detect(transcript, threshold=bad)
     with pytest.raises(ValueError):
         detect(transcript, threshold=0.0, parity_class=0)
 

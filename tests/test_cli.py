@@ -773,40 +773,41 @@ def test_masked_and_three_party_output_bytes_are_pinned(capsys):
 #: ``ghzkd sweep --mc-rounds 200`` per variable, ``--noise-p``, menu (none or
 #: 0,pi/2,pi), phases (default or pi/3,pi/6,3pi/2) and seed: exit code and
 #: sha256 prefix of stdout, recorded with the one-state-at-a-time oracle.
-#: The rows pin the exact column and the menu-summary comment lines.
+#: The rows pin the exact column and the menu-summary comment lines, and the
+#: Monte-Carlo columns as drawn from the session streams of run 0.
 _GOLDEN_SWEEP = """
-eve-angle 0 - - 1 0 a155f802e30b9f5d
-eve-angle 0 - - 21474836487 0 4a7eb8fceb3b637b
-eve-angle 0 - explicit 1 0 81171d9792834176
-eve-angle 0 - explicit 21474836487 0 1ce2b78bad08f3f9
-eve-angle 0 menu - 1 0 2aa243a6ee530d50
-eve-angle 0 menu - 21474836487 0 ae7519be5c60ae9a
-eve-angle 0 menu explicit 1 0 e937209338edb7ce
-eve-angle 0 menu explicit 21474836487 0 393766deda1fff34
-eve-angle 0.1 - - 1 0 11a01267badd0f90
-eve-angle 0.1 - - 21474836487 0 7b7da52a143403d9
-eve-angle 0.1 - explicit 1 0 db79d0a4ae7f4d8a
-eve-angle 0.1 - explicit 21474836487 0 2a1ee46eff89ad5d
-eve-angle 0.1 menu - 1 0 d0506c3b387dd2be
-eve-angle 0.1 menu - 21474836487 0 6402c863eeb60162
-eve-angle 0.1 menu explicit 1 0 c22694dbde6db192
-eve-angle 0.1 menu explicit 21474836487 0 044f5d20991b8d50
-noise-p 0 - - 1 0 a20d0d9d32e1b4fa
-noise-p 0 - - 21474836487 0 b65069d2caf99ca9
-noise-p 0 - explicit 1 0 1180e6f1d421232e
-noise-p 0 - explicit 21474836487 0 45e9cab687e001cf
-noise-p 0 menu - 1 0 597818b2e162cdb1
-noise-p 0 menu - 21474836487 0 768f2b66ea31f663
-noise-p 0 menu explicit 1 0 f04d6fc61e859cd3
-noise-p 0 menu explicit 21474836487 0 9539cd4a596c1366
-noise-p 0.1 - - 1 0 a20d0d9d32e1b4fa
-noise-p 0.1 - - 21474836487 0 b65069d2caf99ca9
-noise-p 0.1 - explicit 1 0 1180e6f1d421232e
-noise-p 0.1 - explicit 21474836487 0 45e9cab687e001cf
-noise-p 0.1 menu - 1 0 7b8deb95000bc331
-noise-p 0.1 menu - 21474836487 0 e31759af97d6b7ae
-noise-p 0.1 menu explicit 1 0 68df967f1a6d334c
-noise-p 0.1 menu explicit 21474836487 0 a7713627fc076d03
+eve-angle 0 - - 1 0 66c3d41bdb33d71c
+eve-angle 0 - - 21474836487 0 94f904a0deec0823
+eve-angle 0 - explicit 1 0 b1a4942c88d8eba5
+eve-angle 0 - explicit 21474836487 0 a736816c8b00237b
+eve-angle 0 menu - 1 0 0e48c4abe226e81a
+eve-angle 0 menu - 21474836487 0 d520027ad30d4b99
+eve-angle 0 menu explicit 1 0 71ea0afd641d0010
+eve-angle 0 menu explicit 21474836487 0 0848e8c2cd1a30b9
+eve-angle 0.1 - - 1 0 fbcbad463a9b084f
+eve-angle 0.1 - - 21474836487 0 1f49f0895523bf58
+eve-angle 0.1 - explicit 1 0 2bf18c825cf44083
+eve-angle 0.1 - explicit 21474836487 0 b6c213d430195a47
+eve-angle 0.1 menu - 1 0 ec1cefb6fad3b83b
+eve-angle 0.1 menu - 21474836487 0 b960e102771a11c6
+eve-angle 0.1 menu explicit 1 0 ab9f3ead1fcf489f
+eve-angle 0.1 menu explicit 21474836487 0 ff3a78bf0ddfc26b
+noise-p 0 - - 1 0 1f4cced7713fa2b2
+noise-p 0 - - 21474836487 0 81ae94b415a0011f
+noise-p 0 - explicit 1 0 61aaf607aabe35bb
+noise-p 0 - explicit 21474836487 0 4d97186fbff8f84b
+noise-p 0 menu - 1 0 a48ffb1ee4200db3
+noise-p 0 menu - 21474836487 0 f8aae3c6b1c3fcf3
+noise-p 0 menu explicit 1 0 15f73abf9b77b598
+noise-p 0 menu explicit 21474836487 0 f11a3fdc146d4100
+noise-p 0.1 - - 1 0 1f4cced7713fa2b2
+noise-p 0.1 - - 21474836487 0 81ae94b415a0011f
+noise-p 0.1 - explicit 1 0 61aaf607aabe35bb
+noise-p 0.1 - explicit 21474836487 0 4d97186fbff8f84b
+noise-p 0.1 menu - 1 0 433677bb5971aa17
+noise-p 0.1 menu - 21474836487 0 a09c12d725381b33
+noise-p 0.1 menu explicit 1 0 de10caf2340d7033
+noise-p 0.1 menu explicit 21474836487 0 090085abededde54
 """
 
 

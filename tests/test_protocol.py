@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghzkd import protocol
 from ghzkd.adversary import EveKind, EveStrategy, NoiseModel, Verdict, apply_noise, eve_intercept_resend
-from ghzkd.core import Mode, MeasurementSetting, joint_outcome_distribution, sample_joint
+from ghzkd.core import _MAX_BATCH, Mode, MeasurementSetting, joint_outcome_distribution, sample_joint
 from ghzkd.ghz import (
     GhzSpec,
     compatible_outcomes,
@@ -23,9 +25,11 @@ from ghzkd.protocol import (
     KeyExhausted,
     Method,
     ProtocolConfig,
+    _fixed_triple_outcomes,
     _play_rounds,
     bit_of,
     encode_bit,
+    monte_carlo_violation_rate,
     recover_alice_bit,
     recover_key_bit,
     run_method1,
@@ -252,13 +256,19 @@ def test_round_physics_independent_of_execution_order():
         assert (retained[0], parity[0]) == (record.retained, record.parity or 0)
 
 
-def _scalar_round(cfg, base, index):
-    """Reference engine: one round at a time, each stream from its own generator."""
+def _scalar_round(cfg, base, index, phases=None):
+    """Reference engine: one round at a time, each stream from its own generator.
+
+    With ``phases`` the round is measured at that fixed triple and draws no angles.
+    """
 
     def rng(role):
         return np.random.default_rng(np.random.SeedSequence(base + (1, index, role)))
 
-    if cfg.method is Method.METHOD1:
+    if phases is not None:
+        phi_a, phi_b, phi_c = phases
+        parity = is_super_classical(cfg.spec, phases)
+    elif cfg.method is Method.METHOD1:
         phi_a, phi_b, phi_c = (cfg.menu[rng(role).integers(3)] for role in (0, 1, 2))
         parity = is_super_classical(cfg.spec, (phi_a, phi_b, phi_c))
     else:
@@ -376,6 +386,62 @@ def test_batch_boundaries_do_not_change_a_session(monkeypatch):
     whole = [_run(cfg) for cfg in configs]
     monkeypatch.setattr(protocol, "_MAX_BATCH", 7)
     assert [_run(cfg) for cfg in configs] == whole
+
+
+@st.composite
+def _estimator_cases(draw):
+    spec = draw(st.sampled_from(GhzSpec.all_canonical()))
+    if draw(st.booleans()):
+        phases = draw(st.sampled_from([t for t, _ in super_classical_triples(MENU, spec)]))
+    else:
+        phi_a, phi_c = draw(st.floats(-7.0, 7.0)), draw(st.floats(-7.0, 7.0))
+        phases = (phi_a, solve_bob_phase(spec, phi_a, phi_c, draw(st.sampled_from([1, -1]))), phi_c)
+    eve = draw(st.sampled_from(["none", "at-phi-a", "random"]))
+    return {
+        "spec": spec,
+        "phases": phases,
+        "mode": draw(st.sampled_from(list(Mode))),
+        "eve_angle": None if eve == "none" else phases[0] if eve == "at-phi-a" else draw(st.floats(-7.0, 7.0)),
+        "noise_p": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        "seed": draw(st.integers(0, 2**64)),
+        "n_rounds": draw(st.integers(1, 300)),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(_estimator_cases())
+@example(
+    {
+        "spec": GhzSpec("+-+", 1),
+        "phases": (0.3, solve_bob_phase(GhzSpec("+-+", 1), 0.3, 2.0, -1), 2.0),
+        "mode": Mode.POLARIZATION,
+        "eve_angle": 1.1,
+        "noise_p": 0.3,
+        "seed": 12345,
+        "n_rounds": _MAX_BATCH + 904,  # two blocks
+    }
+)
+def test_monte_carlo_rounds_match_the_scalar_reference_engine(case):
+    spec, phases, mode, eve_angle = case["spec"], case["phases"], case["mode"], case["eve_angle"]
+    noise, n, seed = NoiseModel.depolarizing(case["noise_p"]), case["n_rounds"], case["seed"]
+    eve = EveStrategy.none() if eve_angle is None else EveStrategy.intercept_resend_a(eve_angle)
+    cfg = _m2(spec=spec, mode=mode, eve=eve, noise=noise)
+    blocks = list(_fixed_triple_outcomes(cfg, phases, n, seed))
+    assert all(len(block) <= _MAX_BATCH for block in blocks)
+    got = [tuple(row) for block in blocks for row in block.tolist()]
+    want = [_scalar_round(cfg, (seed, 0), j, phases)[3] for j in range(n)]
+    assert got == want
+    parity = is_super_classical(spec, phases)
+    violations = sum(math.prod(outcomes) != parity for outcomes in want)
+    mc = monte_carlo_violation_rate(spec, phases, mode, eve_angle=eve_angle, noise=noise, n_rounds=n, seed=seed)
+    assert mc == (violations, n)
+
+
+def test_monte_carlo_needs_a_round():
+    triple = (0.0, math.pi / 2, math.pi / 2)
+    for n_rounds in (0, -5):
+        with pytest.raises(ValueError, match="n_rounds"):
+            monte_carlo_violation_rate(GhzSpec("+++", -1), triple, n_rounds=n_rounds)
 
 
 # --------------------------------------------------------------------------

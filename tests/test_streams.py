@@ -150,7 +150,7 @@ def test_rejected_eve_guess_falls_back_to_its_real_generator(monkeypatch):
     outputs = streams.stream_outputs(base + (_ROUND_DOMAIN,), indices, (_ROLE_EVE,), 2)
     outputs[0, 0, 0] = 0xDEADBEEF00000000  # Lemire rejects the first round's guess
     monkeypatch.setattr(streams, "stream_outputs", lambda *args: outputs)
-    guess, u = _eve_draws(config, base, start, indices)
+    guess, u = _eve_draws(config, base, indices)
     rng = _round_rng(base, start, _ROLE_EVE)
     assert (guess[0], u[0]) == (rng.integers(3), rng.random())
     assert guess[0] != 0  # what Lemire's rule alone says for the crafted word
