@@ -219,18 +219,6 @@ def transit_batch(prepared, paulis, mode: Mode, eve_angles=None, eve_u=None):
     return rows, states
 
 
-def eve_impersonate_charlie(transcript: Transcript) -> list[dict]:
-    """The view an eavesdropper playing Charlie's role ends up with.
-
-    Per retained round that is exactly {phi_a, phi_c, D, C}: her own angle
-    and outcome plus the two announced bits.  Nothing else reaches her.
-    """
-    kept = transcript.retained
-    phi_a, _, phi_c = transcript.phases[kept].T.tolist()
-    d_bit, c_bit = transcript.bits[kept, :2].T.tolist()
-    return [{"phi_a": a, "phi_c": c, "d_bit": d, "c_bit": cb} for a, c, d, cb in zip(phi_a, phi_c, d_bit, c_bit)]
-
-
 # --------------------------------------------------------------------------
 # Detection
 
@@ -281,16 +269,15 @@ def _settings(mode: Mode, phases) -> tuple[MeasurementSetting, ...]:
 _BROKEN = np.array([np.flatnonzero(PRODUCT_BY_INDEX != parity) for parity in (1, -1)])
 
 
-def _violation_rates(
-    spec: GhzSpec, triples, mode: Mode, eve_angles=None, noise_p: float = 0.0, noise_qubits=(1, 3)
-) -> list[float]:
+def _violation_rates(spec: GhzSpec, triples, mode: Mode, eve_angles=None, noise_p: float = 0.0) -> list[float]:
     """Exact violation rate of each phase triple, all branches in one array pass.
 
     ``triples`` is a sequence or an (n, 3) array of phase triples;
     ``eve_angles`` is None (no eavesdropper) or one angle per triple.  Every
-    noise branch, every eavesdropper outcome on particle a and every joint
-    outcome is enumerated; each rate sums weight * P(Eve's outcome) *
-    P(parity broken) over the branches in enumeration order.
+    noise branch on particles a and c, every eavesdropper outcome on
+    particle a and every joint outcome is enumerated; each rate sums
+    weight * P(Eve's outcome) * P(parity broken) over the branches in
+    enumeration order.
     """
     if not 0.0 <= noise_p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {noise_p!r}")
@@ -307,12 +294,12 @@ def _violation_rates(
     angles, which = np.unique(normalize_angles(angles), return_inverse=True)
     bases = eigenbases(observables(mode, angles))
 
-    # Every noise branch (at most 4^3), first qubit's choice outermost: "replace with
+    # Every noise branch (at most 4^2), particle a's choice outermost: "replace with
     # probability p" means I, X, Y, Z each weigh p/4 on top of the 1-p pass-through,
     # and at p = 0 the pass-through is the only branch.
     choices = np.array([1.0 - 0.75 * noise_p, 0.25 * noise_p, 0.25 * noise_p, 0.25 * noise_p])
     weights, states = np.ones(1), ghz_state(spec).reshape(1, 2, 2, 2)
-    for qubit in noise_qubits if noise_p != 0.0 else ():
+    for qubit in (1, 3) if noise_p != 0.0 else ():
         weights = np.multiply.outer(weights, choices).ravel()
         states = apply_1q_batch(np.tile(PAULI_STACK, (len(states), 1, 1)), np.repeat(states, 4, axis=0), qubit)
     states = _check_states(states.reshape(-1, 8))
@@ -354,17 +341,17 @@ def exact_violation_rate(
     *,
     eve_angle: float | None = None,
     noise_p: float = 0.0,
-    noise_qubits: tuple[int, ...] = (1, 3),
 ) -> float:
     """Exact probability that the outcome product breaks the round parity.
 
-    Enumerates noise branches on the transiting qubits, then (optionally)
-    the eavesdropper's two projective outcomes on particle a, then the full
-    joint outcome distribution.  The phase triple must pin a deterministic
-    parity, otherwise there is no prediction to violate.
+    Enumerates the depolarizing branches (probability ``noise_p`` each) on
+    particles a and c, the two in transit, then (when ``eve_angle`` is
+    given) the eavesdropper's two projective outcomes on particle a, then
+    the full joint outcome distribution.  The phase triple must pin a
+    deterministic parity, otherwise there is no prediction to violate.
     """
     eve_angles = None if eve_angle is None else [eve_angle]
-    return _violation_rates(spec, [phases], mode, eve_angles, noise_p, noise_qubits)[0]
+    return _violation_rates(spec, [phases], mode, eve_angles, noise_p)[0]
 
 
 @dataclass
@@ -474,7 +461,8 @@ def calibrate_threshold(config) -> float:
     Both rates come from the exact oracles under the configured noise: the
     noise-only rate with the eavesdropper switched off, the attacked rate
     under the configured strategy (an intercept-resend guessing from the
-    menu, or averaged over announced angles, when none is configured).
+    menu, or averaged over announced angles, when none is configured), both
+    in the parity class a session's verdict checks (see ``ProtocolConfig``).
     ``config`` is a protocol configuration; only its plain fields are read.
     """
     spec, mode, noise_p = config.spec, config.mode, config.noise.p
@@ -484,9 +472,7 @@ def calibrate_threshold(config) -> float:
         attacked = menu_attack_rates(
             spec, config.menu, mode, eve_angle=eve_angle, guess_from_menu=eve_angle is None, noise_p=noise_p
         ).by_class
-        parity_class = config.detection_parity
-        if parity_class is None:
-            parity_class = 1 if attacked[1] is not None else -1
+        parity_class = 1 if attacked[1] is not None else -1
         r1 = attacked[parity_class]
         if r1 is None:
             raise NoRetainedRounds(f"menu retains no rounds with parity {parity_class:+d}")
@@ -525,29 +511,23 @@ def mutual_information(joint: dict) -> float:
     return info
 
 
-def impersonation_view_joint(
-    config, phi_a: float | None = None, phi_c: float | None = None, leak_alice_bit: bool = False, n_grid: int = 8
-) -> dict:
+def impersonation_view_joint(config, leak_alice_bit: bool = False) -> dict:
     """Exact joint distribution of (Eve-as-Charlie's view, key bit) for one round.
 
     The view is (phi_a, phi_c, D, C).  For menu-driven sessions the angles
-    enumerate the retained menu draws; for continuous sessions they are
-    either the given pair or a uniform grid (the angles are chosen
-    independently of the key, so the grid cannot manufacture information).
-    ``leak_alice_bit`` appends the sender's measured bit to the view, a
-    sanity knob that must drive the information to one full bit.
+    enumerate the retained menu draws; for continuous sessions they are an
+    8x8 uniform grid of (phi_a, phi_c), with the receiver's angle solved
+    for the parity preference (the angles are chosen independently of the
+    key, so the grid cannot manufacture information).  ``leak_alice_bit``
+    appends the sender's measured bit to the view, a sanity knob that must
+    drive the information to one full bit.
     """
-    if n_grid < 1:
-        raise ValueError(f"n_grid must be a positive integer, got {n_grid!r}")
     spec, mode = config.spec, config.mode
     if int(config.method) == 1:
         retained = super_classical_triples(config.menu, spec)
         weighted = [(t, 1.0 / len(retained)) for t, _ in retained]
     else:
-        if phi_a is not None and phi_c is not None:
-            fa, fc = np.array([[phi_a], [phi_c]], dtype=float)
-        else:
-            fa, fc = TWO_PI * np.indices((n_grid, n_grid)).reshape(2, -1) / n_grid
+        fa, fc = TWO_PI * np.indices((8, 8)).reshape(2, -1) / 8
         fb = bob_phases(spec, fa, fc, config.bob_parity_preference)
         weighted = [(triple, 1.0 / len(fa)) for triple in zip(fa.tolist(), fb.tolist(), fc.tolist())]
 

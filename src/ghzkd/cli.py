@@ -45,7 +45,7 @@ from .protocol import (
     run_three_party,
     session_result_to_dict,
 )
-from .transcript import nested_json, nested_transcript_json, transcript_to_csv
+from .transcript import format_angle, nested_json, nested_transcript_json, transcript_to_csv
 
 # ``simulate`` writes its transcripts without this dict view; the name stays
 # importable here because bench/spans.py traces it as ``cli.transcript_to_dict``.
@@ -149,10 +149,6 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # --------------------------------------------------------------------------
 # simulate
 
@@ -212,8 +208,8 @@ def _run_to_csv(result, transcript, reveal: bool) -> str:
     head = (
         f"# rounds_used={result.rounds_used}\n"
         f"# key_match={result.key_recovered == result.key_sent}\n"
-        f"# detection_rate={_fmt(report.rate)}\n"
-        f"# detection_threshold={_fmt(report.threshold)}\n"
+        f"# detection_rate={format_angle(report.rate)}\n"
+        f"# detection_threshold={format_angle(report.threshold)}\n"
         f"# verdict={report.verdict.value}\n"
     )
     return head + transcript_to_csv(transcript, reveal)
@@ -258,9 +254,9 @@ def cmd_expectation(args) -> int:
     numeric = expectation(ghz_state(spec), settings)
     parity = is_super_classical(spec, phases)
     lines = [
-        f"analytic = {_fmt(analytic)}",
-        f"numeric = {_fmt(numeric)}",
-        f"difference = {_fmt(analytic - numeric)}",
+        f"analytic = {format_angle(analytic)}",
+        f"numeric = {format_angle(numeric)}",
+        f"difference = {format_angle(analytic - numeric)}",
         f"parity = {'none' if parity is None else f'{parity:+d}'}",
     ]
     _write_output(args, "\n".join(lines) + "\n")
@@ -276,12 +272,12 @@ def cmd_menu_eval(args) -> int:
     menu = _parse_angle_list(args.menu, 3)
     triples = super_classical_triples(menu, spec)  # validates distinctness
     lines = [
-        "menu = " + ",".join(_fmt(a) for a in menu),
-        f"quality = {len(triples)}/27 = {_fmt(len(triples) / 27.0)}",
+        "menu = " + ",".join(format_angle(a) for a in menu),
+        f"quality = {len(triples)}/27 = {format_angle(len(triples) / 27.0)}",
         "super-classical triples (phi_a,phi_b,phi_c -> parity):",
     ]
     for triple, parity in triples:
-        lines.append("  " + ",".join(_fmt(a) for a in triple) + f" -> {parity:+d}")
+        lines.append("  " + ",".join(format_angle(a) for a in triple) + f" -> {parity:+d}")
     _write_output(args, "\n".join(lines) + "\n")
     return EXIT_CLEAN
 
@@ -308,18 +304,18 @@ def cmd_sweep(args) -> int:
     values = _parse_angle_list(args.values or _SWEEP_DEFAULTS[args.variable])
     seed = _resolve_seed(args)
 
-    lines = [f"# seed={seed}", f"# phases={','.join(_fmt(p) for p in phases)}"]
+    lines = [f"# seed={seed}", f"# phases={','.join(format_angle(p) for p in phases)}"]
     if args.menu:
         menu = _parse_angle_list(args.menu, 3)
         summary = menu_attack_summary(spec, menu, mode, noise_p=args.noise_p)
         if summary["joint_average"] is None:
             raise ConfigError(f"menu {args.menu} has no super-classical triple for {args.spec}")
-        lines.append(f"# menu_joint_average={_fmt(summary['joint_average'])}")
+        lines.append(f"# menu_joint_average={format_angle(summary['joint_average'])}")
         for angle, rate in summary["by_eve_angle"].items():
-            lines.append(f"# menu_average_at_eve_angle_{_fmt(angle)}={_fmt(rate)}")
+            lines.append(f"# menu_average_at_eve_angle_{format_angle(angle)}={format_angle(rate)}")
         for triple, rate in summary["by_triple"].items():
-            label = ",".join(_fmt(a) for a in triple)
-            lines.append(f"# guess_average_at_triple_{label}={_fmt(rate)}")
+            label = ",".join(format_angle(a) for a in triple)
+            lines.append(f"# guess_average_at_triple_{label}={format_angle(rate)}")
     lines.append("parameter,oracle_rate,monte_carlo_rate,std_error")
 
     # (Eve's angle, noise level) per value.  The exact column comes first, so
@@ -337,7 +333,7 @@ def cmd_sweep(args) -> int:
         )
         mc = v / n
         stderr = math.sqrt(mc * (1.0 - mc) / n)
-        lines.append(f"{_fmt(value)},{_fmt(oracle)},{_fmt(mc)},{_fmt(stderr)}")
+        lines.append(f"{format_angle(value)},{format_angle(oracle)},{format_angle(mc)},{format_angle(stderr)}")
     _write_output(args, "\n".join(lines) + "\n")
     return EXIT_CLEAN
 

@@ -43,11 +43,12 @@ DEFAULT_POLAR = {Mode.SPIN: math.pi / 2, Mode.POLARIZATION: math.pi / 4}
 
 
 def normalize_angle(x: float) -> float:
-    """Map an angle in radians into [0, 2*pi)."""
+    """Map an angle in radians into [0, 2*pi); where the float ``%`` rounds up to 2*pi (``-1e-17``) it gives 0.0."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"angle must be finite, got {x!r}")
-    return x % TWO_PI
+    x %= TWO_PI
+    return 0.0 if x == TWO_PI else x
 
 
 def normalize_angles(xs) -> np.ndarray:
@@ -55,7 +56,8 @@ def normalize_angles(xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError(f"angle must be finite, got {float(xs[~np.isfinite(xs)].flat[0])!r}")
-    return np.mod(xs, TWO_PI)
+    xs = np.mod(xs, TWO_PI)
+    return np.where(xs == TWO_PI, 0.0, xs)
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,6 @@ class MeasurementSetting:
 def spin_setting(phi: float, theta: float | None = None) -> MeasurementSetting:
     """Spin measurement at azimuth ``phi`` (polar angle defaults to pi/2)."""
     return MeasurementSetting(Mode.SPIN, phi, theta)
-
-
-def polarization_setting(delta: float, theta: float | None = None) -> MeasurementSetting:
-    """Retarded-analyzer measurement at retardance ``delta`` (theta defaults to pi/4)."""
-    return MeasurementSetting(Mode.POLARIZATION, delta, theta)
 
 
 def make_spin_observable(theta: float, phi: float) -> np.ndarray:

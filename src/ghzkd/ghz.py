@@ -104,24 +104,23 @@ def analytic_expectation(spec: GhzSpec, phases) -> float:
     return spec.phase * math.cos(signed_phase_sum(spec, phases))
 
 
-def parity_rule(spec: GhzSpec, phases, tol: float = SUPER_CLASSICAL_TOL) -> np.ndarray:
+def parity_rule(spec: GhzSpec, phases) -> np.ndarray:
     """Parity (+1/-1) of each phase triple (rows of ``phases``, shape (..., 3)), or 0 where none.
 
-    A signed phase sum at 0 mod 2*pi pins the expectation value at
-    ``spec.phase``, a sum at pi at ``-spec.phase``: the product of the three
-    outcomes equals that value on every run.  ``np.mod`` equals the float
-    ``%``, so a row gets the bits of the scalar arithmetic.
+    A signed phase sum within ``SUPER_CLASSICAL_TOL`` of 0 mod 2*pi pins the
+    expectation value at ``spec.phase``, a sum at pi at ``-spec.phase``: the
+    product of the three outcomes equals that value on every run.  ``np.mod``
+    equals the float ``%``, so a row gets the bits of the scalar arithmetic.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
     with np.errstate(invalid="ignore"):  # an infinite angle has no parity, as with float %
         r = np.mod(signed_phase_sum(spec, np.asarray(phases, dtype=float).T), TWO_PI)
-    return np.where(np.minimum(r, TWO_PI - r) <= tol, spec.phase, np.where(np.abs(r - math.pi) <= tol, -spec.phase, 0))
+    at_zero = np.minimum(r, TWO_PI - r) <= SUPER_CLASSICAL_TOL
+    return np.where(at_zero, spec.phase, np.where(np.abs(r - math.pi) <= SUPER_CLASSICAL_TOL, -spec.phase, 0))
 
 
-def is_super_classical(spec: GhzSpec, phases, tol: float = SUPER_CLASSICAL_TOL) -> int | None:
+def is_super_classical(spec: GhzSpec, phases) -> int | None:
     """``parity_rule`` of one phase triple, with None where there is no parity."""
-    return int(parity_rule(spec, phases, tol)) or None
+    return int(parity_rule(spec, phases)) or None
 
 
 def compatible_outcomes(parity: int) -> frozenset[tuple[int, int, int]]:
@@ -129,19 +128,6 @@ def compatible_outcomes(parity: int) -> frozenset[tuple[int, int, int]]:
     if parity not in (1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity!r}")
     return frozenset(t for t in OUTCOME_TRIPLES if t[0] * t[1] * t[2] == parity)
-
-
-def predict_third(parity: int, known_a: int, known_b: int) -> int:
-    """The unique third outcome making the product equal the parity.
-
-    Which two positions are known does not matter; the product constraint
-    is symmetric.
-    """
-    if parity not in (1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity!r}")
-    if known_a not in (1, -1) or known_b not in (1, -1):
-        raise ValueError("known outcomes must be +1 or -1")
-    return parity * known_a * known_b
 
 
 def bob_phases(spec: GhzSpec, phi_a, phi_c, target: int) -> np.ndarray:
@@ -173,14 +159,12 @@ def _validated_menu(menu) -> tuple[float, float, float]:
     return angles
 
 
-def super_classical_triples(
-    menu, spec: GhzSpec, tol: float = SUPER_CLASSICAL_TOL
-) -> list[tuple[tuple[float, float, float], int]]:
+def super_classical_triples(menu, spec: GhzSpec) -> list[tuple[tuple[float, float, float], int]]:
     """All ordered menu triples with a deterministic parity, with that parity."""
     triples = list(itertools.product(_validated_menu(menu), repeat=3))
-    return [(t, p) for t, p in zip(triples, parity_rule(spec, triples, tol).tolist()) if p]
+    return [(t, p) for t, p in zip(triples, parity_rule(spec, triples).tolist()) if p]
 
 
-def menu_quality(menu, spec: GhzSpec, tol: float = SUPER_CLASSICAL_TOL) -> float:
+def menu_quality(menu, spec: GhzSpec) -> float:
     """Fraction of the 27 ordered menu triples whose parity is deterministic."""
-    return len(super_classical_triples(menu, spec, tol)) / 27.0
+    return len(super_classical_triples(menu, spec)) / 27.0

@@ -74,12 +74,13 @@ MAX_ROUNDS_FACTOR_METHOD1 = 8
 class ProtocolConfig:
     """Everything a session needs; immutable so runs are reproducible.
 
-    ``menu`` is required for METHOD1; METHOD2 ignores it unless
-    ``method2_menu_angles`` opts in.  ``bob_parity_preference`` only matters
-    for METHOD2.  ``threshold`` is the detection verdict threshold (0.0 when
-    unset, the right strictness for noiseless channels); ``detection_parity``
-    picks which parity class the verdict uses, defaulting to the preference
-    class for METHOD2 and the +1 class for METHOD1.
+    ``menu`` is required for METHOD1; METHOD2 draws its angles from the
+    continuum and reads a menu only for an eavesdropper guessing from it.
+    ``bob_parity_preference`` only matters for METHOD2, and ``seed`` seeds
+    every stream.  ``threshold`` is the detection verdict threshold (0.0 when
+    unset, the right strictness for noiseless channels).  The verdict checks
+    the preference class for METHOD2, and for METHOD1 the +1 class, or the
+    -1 class when no retained round has parity +1.
     """
 
     method: Method
@@ -92,11 +93,7 @@ class ProtocolConfig:
     seed: int = 0
     eve: EveStrategy = EveStrategy.none()
     noise: NoiseModel = NoiseModel.none()
-    detection_parity: int | None = None
     threshold: float | None = None
-    # METHOD2 draws announced angles from the continuum by default; opting in
-    # to menu draws makes runs comparable with METHOD1 statistics.
-    method2_menu_angles: bool = False
 
     def __post_init__(self):
         method = Method(self.method)
@@ -107,8 +104,6 @@ class ProtocolConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.bob_parity_preference not in (1, -1):
             raise ConfigError("bob_parity_preference must be +1 or -1")
-        if self.detection_parity not in (None, 1, -1):
-            raise ConfigError("detection_parity must be None, +1 or -1")
         if self.threshold is not None and not 0.0 <= self.threshold:
             raise ConfigError("threshold must be non-negative")
         if self.menu is not None:
@@ -123,11 +118,6 @@ class ProtocolConfig:
                 "an eavesdropper guessing from the menu needs a configured menu; "
                 "menu-less sessions take a fixed Eve angle"
             )
-        if self.method2_menu_angles:
-            if method is not Method.METHOD2:
-                raise ConfigError("method2_menu_angles only applies to METHOD2")
-            if self.menu is None:
-                raise ConfigError("method2_menu_angles requires an angle menu")
         if self.max_rounds is None:
             default = self.key_length * (MAX_ROUNDS_FACTOR_METHOD1 if method is Method.METHOD1 else 1)
             object.__setattr__(self, "max_rounds", default)
@@ -254,28 +244,23 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
     played in or on other rounds.  Every stream's draws are derived for the
     whole batch at once; transit and measurement are ``_transit_and_measure``.
     """
-    if config.method is Method.METHOD1:
-        roles = (_ROLE_ALICE, _ROLE_BOB, _ROLE_CHARLIE)
-    else:
-        roles = (_ROLE_ALICE, _ROLE_CHARLIE)
     n = stop - start
     indices = np.arange(start, stop, dtype=np.uint64)
-    heads = streams.stream_heads(base + (_ROUND_DOMAIN,), indices, roles + (_ROLE_MEASURE,))
-    u = streams.random(heads[-1])
-    if config.method is Method.METHOD1 or config.method2_menu_angles:
-        picks = np.array([_menu_picks(base, start, role, h) for role, h in zip(roles, heads)])
-        drawn = np.array(config.menu)[picks]
-        # Rounds with the same menu picks have the same settings triple.
-        triple_id = np.ravel_multi_index(tuple(picks), (3,) * len(picks))
-    else:
-        drawn = np.array([streams.uniform_2pi(h) for h in heads[:-1]])
-        triple_id = np.arange(n)  # continuous angles: every round its own triple
     if config.method is Method.METHOD1:
-        phases, parity = drawn.T, parity_rule(config.spec, drawn.T)
+        roles = (_ROLE_ALICE, _ROLE_BOB, _ROLE_CHARLIE)
+        heads = streams.stream_heads(base + (_ROUND_DOMAIN,), indices, roles + (_ROLE_MEASURE,))
+        picks = np.array([_menu_picks(base, start, role, h) for role, h in zip(roles, heads)])
+        phases = np.array(config.menu)[picks].T
+        parity = parity_rule(config.spec, phases)
+        # Rounds with the same menu picks have the same settings triple.
+        triple_id = np.ravel_multi_index(tuple(picks), (3, 3, 3))
     else:
-        phi_a, phi_c = drawn
+        heads = streams.stream_heads(base + (_ROUND_DOMAIN,), indices, (_ROLE_ALICE, _ROLE_CHARLIE, _ROLE_MEASURE))
+        phi_a, phi_c = streams.uniform_2pi(heads[0]), streams.uniform_2pi(heads[1])
         phases = np.column_stack([phi_a, bob_phases(config.spec, phi_a, phi_c, config.bob_parity_preference), phi_c])
         parity = np.full(n, config.bob_parity_preference)
+        triple_id = np.arange(n)  # continuous angles: every round its own triple
+    u = streams.random(heads[-1])
 
     outcomes = _transit_and_measure(config, base, indices, phases, triple_id, u)
     return phases, parity != 0, outcomes, parity
@@ -394,12 +379,11 @@ def _run_session(
     violation = np.zeros(len(retained), dtype=bool)
     violation[retained] = (recover_alice_bit(key, d) ^ b ^ c) != parity_bit
 
-    menu_announced = config.method is Method.METHOD1 or config.method2_menu_angles
     transcript = Transcript(
         method=f"method{int(config.method)}",
         spec_label=str(config.spec),
         mode=config.mode.value,
-        menu=config.menu if menu_announced else None,
+        menu=config.menu if config.method is Method.METHOD1 else None,
         seed=base[0],
         key_length=config.key_length,
         phases=phases,
@@ -410,12 +394,10 @@ def _run_session(
         violation=violation,
     )
 
-    parity_class = config.detection_parity
-    if parity_class is None:
-        if config.method is Method.METHOD2:
-            parity_class = config.bob_parity_preference
-        else:
-            parity_class = 1 if (parity == 1).any() else -1
+    if config.method is Method.METHOD2:
+        parity_class = config.bob_parity_preference
+    else:
+        parity_class = 1 if (parity == 1).any() else -1
     report = detect(transcript, config.threshold if config.threshold is not None else 0.0, parity_class)
 
     result = SessionResult(
@@ -428,39 +410,39 @@ def _run_session(
     return result, transcript
 
 
-def run_method1(config: ProtocolConfig, seed: int | None = None) -> tuple[SessionResult, Transcript]:
-    """Run a menu-driven session; ``seed`` overrides config.seed when given."""
+def run_method1(config: ProtocolConfig) -> tuple[SessionResult, Transcript]:
+    """Run a menu-driven session from ``config.seed``."""
     if config.method is not Method.METHOD1:
         raise ConfigError("run_method1 requires a METHOD1 configuration")
-    return _run_session(config, (config.seed if seed is None else seed, 1))
+    return _run_session(config, (config.seed, 1))
 
 
-def run_method2(config: ProtocolConfig, seed: int | None = None) -> tuple[SessionResult, Transcript]:
-    """Run a solved-angle session; every round is retained."""
+def run_method2(config: ProtocolConfig) -> tuple[SessionResult, Transcript]:
+    """Run a solved-angle session from ``config.seed``; every round is retained."""
     if config.method is not Method.METHOD2:
         raise ConfigError("run_method2 requires a METHOD2 configuration")
-    return _run_session(config, (config.seed if seed is None else seed, 1))
+    return _run_session(config, (config.seed, 1))
 
 
 def run_three_party(
-    config: ProtocolConfig,
-    seed: int | None = None,
-    second_config: ProtocolConfig | None = None,
+    config: ProtocolConfig, second_config: ProtocolConfig | None = None
 ) -> tuple[tuple[SessionResult, Transcript], tuple[SessionResult, Transcript]]:
     """Distribute one key to both other parties by running the protocol twice.
 
     After the first session the roles rotate and the first run's recovered
     key is what the new sender transmits, so a clean double run leaves all
-    three parties holding the same key.  ``second_config`` lets the rotated
-    trio change strategy knobs (an eavesdropper present in one run only,
-    say); it defaults to the first config and must keep the key length.
+    three parties holding the same key.  Both runs read ``config.seed``, as
+    runs 1 and 2 of its streams.  ``second_config`` lets the rotated trio
+    change strategy knobs (an eavesdropper present in one run only, say); it
+    defaults to the first config and must keep the key length and the seed.
     """
-    s = config.seed if seed is None else seed
-    first = _run_session(config, (s, 1))
     cfg2 = config if second_config is None else second_config
     if cfg2.key_length != config.key_length:
         raise ConfigError("second run must relay a key of the same length")
-    second = _run_session(cfg2, (s, 2), key_bits=np.array(first[0].key_recovered, dtype=int))
+    if cfg2.seed != config.seed:
+        raise ConfigError("second run must use the first run's seed")
+    first = _run_session(config, (config.seed, 1))
+    second = _run_session(cfg2, (config.seed, 2), key_bits=np.array(first[0].key_recovered, dtype=int))
     return first, second
 
 

@@ -60,7 +60,7 @@ _ANGLE_FORMAT = ".17g"
 
 
 def format_angle(x: float) -> str:
-    """Decimal radians with full double precision (17 significant digits)."""
+    """Decimal radians with full double precision (17 significant digits); the CLI prints rates with it too."""
     return format(float(x), _ANGLE_FORMAT)
 
 

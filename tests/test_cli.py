@@ -196,8 +196,9 @@ def test_menu_eval_command(tmp_path):
     code, payload = _run(tmp_path, "menu-eval", "--menu", "0.1,0.2,0.3", name="m3.txt")
     assert "quality = 0/27" in payload.decode()
 
-    code, _ = _run(tmp_path, "menu-eval", "--menu", "0,0,pi", name="m4.txt")
-    assert code == EXIT_ERROR
+    for i, menu in enumerate(("0,0,pi", "0,-1e-17,pi")):  # -1e-17 is 0 mod 2 pi
+        code, _ = _run(tmp_path, "menu-eval", "--menu", menu, name=f"bad{i}.txt")
+        assert code == EXIT_ERROR
 
 
 def _read_sweep(payload):

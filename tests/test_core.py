@@ -21,10 +21,11 @@ from ghzkd.core import (
     joint_probs_batch,
     make_spin_observable,
     measure_single,
+    normalize_angle,
+    normalize_angles,
     observable_for,
     observables,
     polarization_analyzer,
-    polarization_setting,
     project_single,
     sample_joint,
     spin_setting,
@@ -65,7 +66,7 @@ def test_retarded_analyzer_matches_explicit_product():
 
 def test_observable_for_dispatch():
     assert np.allclose(observable_for(spin_setting(0.0)), X, atol=1e-15)
-    assert np.allclose(observable_for(polarization_setting(0.0)), X, atol=1e-15)
+    assert np.allclose(observable_for(MeasurementSetting(Mode.POLARIZATION, 0.0)), X, atol=1e-15)
     expected = np.array([[0, -1], [-1, 0]], dtype=complex)
     assert np.allclose(observable_for(spin_setting(math.pi)), expected, atol=1e-12)
 
@@ -85,9 +86,20 @@ def test_setting_normalizes_phase():
     assert 0.0 <= s.phase < 2 * math.pi
     assert s.phase == pytest.approx(3 * math.pi / 2)
     assert s.polar == pytest.approx(math.pi / 2)
-    assert polarization_setting(0.0).polar == pytest.approx(math.pi / 4)
+    assert MeasurementSetting(Mode.POLARIZATION, 0.0).polar == pytest.approx(math.pi / 4)
     with pytest.raises(ValueError):
         spin_setting(float("nan"))
+
+
+def test_normalized_angles_stay_below_two_pi():
+    # The float % rounds a tiny negative angle up to the modulus itself.
+    for x in (-1e-17, -4.4e-16):
+        assert x % (2 * math.pi) == 2 * math.pi
+        assert normalize_angle(x) == 0.0
+        assert spin_setting(x).phase == 0.0
+    got = normalize_angles([-1e-17, -4.4e-16, -1.0, 7.0])
+    assert got.tolist() == [0.0, 0.0, -1.0 % (2 * math.pi), 7.0 % (2 * math.pi)]
+    assert ((0.0 <= got) & (got < 2 * math.pi)).all()
 
 
 def test_eigenbasis_convention_and_eigenvalues():

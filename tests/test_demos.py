@@ -1,12 +1,14 @@
-"""The demo scripts print the same bytes as when their output was pinned."""
+"""The demo scripts print the same bytes as when their output was pinned, and the README quick start runs."""
 
 import hashlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 #: sha256 prefix of each demo's stdout.  Every demo fixes its own seeds, so
 #: the text is deterministic; the eavesdropper demo prints oracle curves and
@@ -25,3 +27,9 @@ def test_demo_stdout_is_pinned(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == _GOLDEN_STDOUT[name]
+
+
+def test_readme_quick_start_runs(capsys):
+    (block,) = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out.startswith("Verdict.CLEAN\n")

@@ -21,7 +21,6 @@ from ghzkd.ghz import (
     is_super_classical,
     menu_quality,
     parity_rule,
-    predict_third,
     solve_bob_phase,
     super_classical_triples,
 )
@@ -100,9 +99,7 @@ def test_is_super_classical():
     # wraps modulo 2*pi and respects the tolerance
     assert is_super_classical(spec, (TWO_PI - 1e-12, 1e-13, 0.0)) == -1
     assert is_super_classical(spec, (0.0, 0.0, 5e-10)) == -1
-    assert is_super_classical(spec, (0.0, 0.0, 5e-10), tol=1e-12) is None
-    with pytest.raises(ValueError):
-        is_super_classical(spec, (0, 0, 0), tol=-1.0)
+    assert is_super_classical(spec, (0.0, 0.0, 2e-9)) is None
 
 
 def test_compatible_outcomes_partition():
@@ -137,26 +134,16 @@ def test_super_classical_collapse_property():
                     assert abs(p - want) <= 1e-10
 
 
-def test_predict_third():
-    assert predict_third(1, 1, 1) == 1
-    assert predict_third(1, 1, -1) == -1
-    assert predict_third(-1, -1, -1) == -1
-    with pytest.raises(ValueError):
-        predict_third(0, 1, 1)
-    with pytest.raises(ValueError):
-        predict_third(1, 2, 1)
-
-
-def test_predict_third_consistent_with_born_support():
+def test_born_support_lies_in_the_compatible_outcomes():
     rng = np.random.default_rng(4)
     spec = GhzSpec("+-+", -1)
     psi = ghz_state(spec)
     phases = _random_super_classical(rng, spec)
     parity = is_super_classical(spec, phases)
     dist = joint_outcome_distribution(psi, _settings(Mode.SPIN, phases))
-    for (r1, r2, r3), p in dist.items():
+    for triple, p in dist.items():
         if p > 1e-12:
-            assert predict_third(parity, r1, r2) == r3
+            assert triple in compatible_outcomes(parity)
 
 
 def test_solve_bob_phase_worked_examples():
@@ -190,13 +177,13 @@ def test_solve_bob_phase_random_inputs():
 # reference: Python's float ``%``, in the same operation order.
 
 
-def _ref_parity(spec, phases, tol):
+def _ref_parity(spec, phases):
     s1, s2, s3 = spec.signs
     p1, p2, p3 = phases
     r = (s1 * p1 + s2 * p2 + s3 * p3) % TWO_PI
-    if min(r, TWO_PI - r) <= tol:
+    if min(r, TWO_PI - r) <= SUPER_CLASSICAL_TOL:
         return spec.phase
-    if abs(r - math.pi) <= tol:
+    if abs(r - math.pi) <= SUPER_CLASSICAL_TOL:
         return -spec.phase
     return None
 
@@ -204,7 +191,8 @@ def _ref_parity(spec, phases, tol):
 def _ref_bob_phase(spec, phi_a, phi_c, target):
     s1, s2, s3 = spec.signs
     t = 0.0 if target == spec.phase else math.pi
-    return (s2 * (t - s1 * phi_a - s3 * phi_c)) % TWO_PI
+    phi_b = (s2 * (t - s1 * phi_a - s3 * phi_c)) % TWO_PI
+    return 0.0 if phi_b == TWO_PI else phi_b  # float % can round up to the modulus
 
 
 _QUARTER_TURNS = st.integers(-16, 16).map(lambda k: k * math.pi / 2)
@@ -219,9 +207,8 @@ _ANGLES = st.one_of(
 
 @st.composite
 def _rule_cases(draw):
-    """A spec, a tolerance and phase triples, some with their signed sum within 1e-9 of the tolerance edge."""
+    """A spec and phase triples, some with their signed sum within 1e-9 of the tolerance edge."""
     spec = draw(st.sampled_from(GhzSpec.all_canonical()))
-    tol = draw(st.sampled_from([SUPER_CLASSICAL_TOL, 0.0, 1e-12, 1e-6, 0.25]) | st.floats(0.0, 1.0))
     s1, s2, s3 = spec.signs
     triples = []
     for _ in range(draw(st.integers(1, 12))):
@@ -229,25 +216,25 @@ def _rule_cases(draw):
         if draw(st.booleans()):
             p3 = draw(_ANGLES)
         else:
-            # The third angle puts the signed sum at k*pi +- (tol + about 1e-9).
-            edge = draw(st.sampled_from([1, -1])) * (tol + draw(st.floats(-1e-9, 1e-9)))
+            # The third angle puts the signed sum at k*pi +- (tolerance + about 1e-9).
+            edge = draw(st.sampled_from([1, -1])) * (SUPER_CLASSICAL_TOL + draw(st.floats(-1e-9, 1e-9)))
             p3 = s3 * (draw(st.integers(-6, 6)) * math.pi + edge - s1 * p1 - s2 * p2)
         triples.append((p1, p2, p3))
-    return spec, tol, triples
+    return spec, triples
 
 
 @settings(max_examples=400, deadline=None)
 @given(_rule_cases(), st.sampled_from([1, -1]))
 def test_array_rules_equal_scalar_float_arithmetic(case, target):
-    spec, tol, triples = case
-    want = [_ref_parity(spec, t, tol) for t in triples]
-    got = parity_rule(spec, triples, tol).tolist()
+    spec, triples = case
+    want = [_ref_parity(spec, t) for t in triples]
+    got = parity_rule(spec, triples).tolist()
     assert [p or None for p in got] == want
     for triple, parity in zip(triples, want):
         if parity is None:
-            assert is_super_classical(spec, triple, tol) is None
+            assert is_super_classical(spec, triple) is None
         else:
-            assert is_super_classical(spec, triple, tol) == parity
+            assert is_super_classical(spec, triple) == parity
     phi_a, _, phi_c = zip(*triples)
     want = [_ref_bob_phase(spec, a, c, target) for a, c in zip(phi_a, phi_c)]
     assert bob_phases(spec, phi_a, phi_c, target).tolist() == want
@@ -266,8 +253,6 @@ def test_array_rules_on_non_finite_angles():
                 solve_bob_phase(spec, bad, 0.0, 1)
             with pytest.raises(ValueError, match="finite"):
                 bob_phases(spec, [0.0, 1.0], [0.5, bad], -1)
-    with pytest.raises(ValueError, match="tolerance"):
-        parity_rule(spec, [(0.0, 0.0, 0.0)], tol=-1e-9)
     with pytest.raises(ValueError, match="target parity"):
         bob_phases(spec, [0.0], [0.0], 0)
 

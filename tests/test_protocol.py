@@ -110,6 +110,8 @@ def test_config_validation():
         ProtocolConfig(method=Method.METHOD1, menu=None)
     with pytest.raises(ConfigError):
         _m1(menu=(0.0, 0.0, math.pi))
+    with pytest.raises(ConfigError):  # -1e-17 is 0 mod 2 pi, not 2 pi
+        _m1(menu=(0.0, -1e-17, 3.14159))
     with pytest.raises(ConfigError):
         _m1(key_length=0)
     with pytest.raises(ConfigError):
@@ -212,19 +214,6 @@ def test_method2_menu_is_ignored():
     assert transcript.menu is None  # not part of a solved-angle transcript
 
 
-def test_method2_optional_menu_angle_source():
-    cfg = _m2(menu=MENU, method2_menu_angles=True, key_length=24, seed=8)
-    result, transcript = run_method2(cfg)
-    assert result.key_recovered == result.key_sent
-    assert transcript.menu == MENU
-    assert all(r.phi_a in MENU and r.phi_c in MENU for r in transcript.rounds)
-    assert any(m.kind == "menu" for m in transcript.public_log)
-    with pytest.raises(ConfigError):
-        _m2(method2_menu_angles=True, key_length=4)
-    with pytest.raises(ConfigError):
-        _m1(method2_menu_angles=True, key_length=4)
-
-
 # --------------------------------------------------------------------------
 # determinism and round independence
 
@@ -272,10 +261,7 @@ def _scalar_round(cfg, base, index, phases=None):
         phi_a, phi_b, phi_c = (cfg.menu[rng(role).integers(3)] for role in (0, 1, 2))
         parity = is_super_classical(cfg.spec, (phi_a, phi_b, phi_c))
     else:
-        if cfg.method2_menu_angles:
-            phi_a, phi_c = (cfg.menu[rng(role).integers(3)] for role in (0, 2))
-        else:
-            phi_a, phi_c = (rng(role).uniform(0.0, 2.0 * math.pi) for role in (0, 2))
+        phi_a, phi_c = (rng(role).uniform(0.0, 2.0 * math.pi) for role in (0, 2))
         phi_b = solve_bob_phase(cfg.spec, phi_a, phi_c, cfg.bob_parity_preference)
         parity = cfg.bob_parity_preference
     state = ghz_state(cfg.spec)
@@ -330,7 +316,6 @@ def _run(cfg):
             key_length=40,
             seed=2**64 + 1,
             menu=MENU,
-            method2_menu_angles=True,
             bob_parity_preference=-1,
             noise=_NOISY,
             eve=EveStrategy.intercept_resend_a(),
@@ -472,6 +457,11 @@ def test_three_party_eve_in_second_run_only():
 def test_three_party_key_length_must_match():
     with pytest.raises(ConfigError):
         run_three_party(_m2(key_length=8), second_config=_m2(key_length=16))
+
+
+def test_three_party_second_run_keeps_the_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        run_three_party(_m2(key_length=8, seed=1), second_config=_m2(key_length=8, seed=999))
 
 
 # --------------------------------------------------------------------------

@@ -149,7 +149,6 @@ def _sessions(draw):
         seed=draw(st.integers(0, 2**70)),
         eve=draw(st.sampled_from(eves)),
         noise=NoiseModel.depolarizing(noise_p) if noise_p else NoiseModel.none(),
-        method2_menu_angles=method == "2" and menu is not None and draw(st.booleans()),
     )
     if three_party:
         runs = list(run_three_party(config))
