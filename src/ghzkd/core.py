@@ -327,7 +327,8 @@ def sample_joint_batch(prepared, rows, states, mode: Mode, phases, triple_id, u)
     Round j is measured at ``phases[j]`` with draw ``u[j]``.  The rounds
     ``rows`` are in ``states`` (shape (m, 2, 2, 2)); every other round is in
     the ``prepared`` state (2, 2, 2) and reads the probabilities of the first
-    such round with its settings triple (equal ``triple_id``).
+    such round with its settings triple (equal ``triple_id``).  The
+    eigenbases are built once per distinct triple.
     """
     n = len(u)
     untouched = np.delete(np.arange(n), rows)
@@ -337,7 +338,9 @@ def sample_joint_batch(prepared, rows, states, mode: Mode, phases, triple_id, u)
     kernel = np.concatenate([rows, untouched[first]])
     states = np.concatenate([states, np.broadcast_to(prepared, (len(first), 2, 2, 2))])
     _check_states(states.reshape(len(kernel), 8))
-    bases = eigenbases(observables(mode, phases[kernel])).reshape(len(kernel), 3, 2, 2)
+    _, kernel_first, kernel_triple = np.unique(triple_id[kernel], return_index=True, return_inverse=True)
+    bases = eigenbases(observables(mode, phases[kernel[kernel_first]])).reshape(len(kernel_first), 3, 2, 2)
+    bases = bases[kernel_triple]
     probs = np.empty((n, 8))
     probs[kernel] = joint_probs_batch(states, bases.swapaxes(0, 1))
 

@@ -362,15 +362,44 @@ def test_round_records_match_the_scalar_reference_engine(cfg):
         assert pairs == set(itertools.product(range(4), repeat=2))
 
 
+def _session_or_error(run, cfg):
+    """``run(cfg)``, or the message of the ``KeyExhausted`` it raises."""
+    try:
+        return run(cfg)
+    except KeyExhausted as exc:
+        return str(exc)
+
+
 def test_batch_boundaries_do_not_change_a_session(monkeypatch):
-    configs = [
-        _m1(key_length=40, seed=5, noise=_NOISY, eve=EveStrategy.intercept_resend_a(), threshold=1.0),
-        _m2(key_length=40, seed=3, noise=_NOISY, eve=EveStrategy.intercept_resend_a(0.3), threshold=1.0),
-        _m2(key_length=40, seed=9, noise=_NOISY, threshold=1.0),
+    cases = [
+        (_run, _m1(key_length=40, seed=5, noise=_NOISY, eve=EveStrategy.intercept_resend_a(), threshold=1.0)),
+        (_run, _m2(key_length=40, seed=3, noise=_NOISY, eve=EveStrategy.intercept_resend_a(0.3), threshold=1.0)),
+        (_run, _m2(key_length=40, seed=9, noise=_NOISY, threshold=1.0)),
+        *((_run, _m1(key_length=k, seed=k + 17)) for k in (1, 128, 300)),
+        (_run, _m1(menu=(0.0, 0.1, 0.5), key_length=12, max_rounds=2000, seed=4)),  # retention 1/27
+        (run_three_party, _m1(key_length=50, seed=21)),  # what `ghzkd simulate --method 3party --menu` runs
+        (_run, _m1(key_length=64, max_rounds=100, seed=2)),
     ]
-    whole = [_run(cfg) for cfg in configs]
+    whole = [_session_or_error(run, cfg) for run, cfg in cases]
+    assert whole[-1] == "only 48 of 64 key bits placed in 100 rounds"
     monkeypatch.setattr(protocol, "_MAX_BATCH", 7)
-    assert [_run(cfg) for cfg in configs] == whole
+    assert [_session_or_error(run, cfg) for run, cfg in cases] == whole
+
+
+def test_menu_session_plays_one_batch(monkeypatch):
+    calls = []
+
+    def counted(config, base, start, stop):
+        calls.append(stop - start)
+        return _play_rounds(config, base, start, stop)
+
+    monkeypatch.setattr(protocol, "_play_rounds", counted)
+    specs, modes = GhzSpec.all_canonical(), list(Mode)
+    for seed in range(200):
+        calls.clear()
+        cfg = _m1(spec=specs[seed % len(specs)], mode=modes[seed // len(specs) % len(modes)], seed=seed)
+        result, _ = run_method1(cfg)
+        assert len(calls) == 1, (seed, calls, result.rounds_used)
 
 
 @st.composite
