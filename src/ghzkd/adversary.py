@@ -6,8 +6,9 @@ they are exact up to float rounding.  Each oracle call is one batched
 enumeration, ``_violation_rates``, over all of its phase triples, whose
 array operations and summation order reproduce a one-state-at-a-time
 enumeration bit for bit.  Its set-up is array work too: the noise-branch
-table is built as arrays on each call, and the parities and the continuous
-grids' receiver angles come from ``ghz.parity_rule`` and ``ghz.bob_phases``.
+states are built as arrays once per GHZ spec, and the parities and the
+continuous grids' receiver angles come from ``ghz.parity_rule`` and
+``ghz.bob_phases``.
 The Monte-Carlo estimator they are checked against,
 ``protocol.monte_carlo_violation_rate``, plays real session rounds; tests
 and sweeps compare the two rather than trusting either alone.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,9 +204,12 @@ def transit_batch(prepared, paulis, mode: Mode, eve_angles=None, eve_u=None):
     """
     eve = eve_angles is not None
     rows = np.flatnonzero(paulis.any(axis=0) | eve)
-    states = np.broadcast_to(prepared, (len(rows), 2, 2, 2))
+    states = np.empty((len(rows), 2, 2, 2), dtype=complex)
+    states[...] = prepared
     for qubit, k in ((1, paulis[0, rows]), (3, paulis[1, rows])):
-        states = apply_1q_batch(PAULI_STACK[k], states, qubit)
+        hit = np.flatnonzero(k)  # the Pauli I leaves a state as it is
+        if len(hit):
+            states[hit] = apply_1q_batch(PAULI_STACK[k[hit]], states[hit], qubit)
     if eve:  # every round is intercepted, so ``rows`` counts 0 to n - 1
         _check_states(states.reshape(len(rows), 8))
         angles, which = np.unique(eve_angles, return_inverse=True)
@@ -269,6 +274,21 @@ def _settings(mode: Mode, phases) -> tuple[MeasurementSetting, ...]:
 _BROKEN = np.array([np.flatnonzero(PRODUCT_BY_INDEX != parity) for parity in (1, -1)])
 
 
+@lru_cache(maxsize=8)
+def _noise_branch_states(spec: GhzSpec) -> np.ndarray:
+    """The state of ``spec`` after each of the 16 Pauli pairs on particles a and c, a's Pauli outermost, shape (16, 8).
+
+    Built once per spec: the one-qubit kernel's fixed cost would otherwise
+    be paid twice on every oracle call.
+    """
+    states = ghz_state(spec).reshape(1, 2, 2, 2)
+    for qubit in (1, 3):
+        states = apply_1q_batch(np.tile(PAULI_STACK, (len(states), 1, 1)), np.repeat(states, 4, axis=0), qubit)
+    states = _check_states(states.reshape(-1, 8))
+    states.setflags(write=False)
+    return states
+
+
 def _violation_rates(spec: GhzSpec, triples, mode: Mode, eve_angles=None, noise_p: float = 0.0) -> list[float]:
     """Exact violation rate of each phase triple, all branches in one array pass.
 
@@ -298,11 +318,10 @@ def _violation_rates(spec: GhzSpec, triples, mode: Mode, eve_angles=None, noise_
     # probability p" means I, X, Y, Z each weigh p/4 on top of the 1-p pass-through,
     # and at p = 0 the pass-through is the only branch.
     choices = np.array([1.0 - 0.75 * noise_p, 0.25 * noise_p, 0.25 * noise_p, 0.25 * noise_p])
-    weights, states = np.ones(1), ghz_state(spec).reshape(1, 2, 2, 2)
-    for qubit in (1, 3) if noise_p != 0.0 else ():
-        weights = np.multiply.outer(weights, choices).ravel()
-        states = apply_1q_batch(np.tile(PAULI_STACK, (len(states), 1, 1)), np.repeat(states, 4, axis=0), qubit)
-    states = _check_states(states.reshape(-1, 8))
+    if noise_p == 0.0:
+        weights, states = np.ones(1), _check_states(ghz_state(spec).reshape(1, 8))
+    else:
+        weights, states = np.multiply.outer(choices, choices).ravel(), _noise_branch_states(spec)
 
     # Joint basis change per triple: the Kronecker product of the three
     # eigenbases, as _basis_change forms it, then its adjoint.

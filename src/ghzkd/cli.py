@@ -45,7 +45,7 @@ from .protocol import (
     run_three_party,
     session_result_to_dict,
 )
-from .transcript import format_angle, nested_json, nested_transcript_json, transcript_to_csv
+from .transcript import format_angle, nested_json, transcript_csv_chunks, transcript_json_chunks
 
 # ``simulate`` writes its transcripts without this dict view; the name stays
 # importable here because bench/spans.py traces it as ``cli.transcript_to_dict``.
@@ -141,12 +141,13 @@ def _check_output(args) -> None:
         os.remove(args.output)
 
 
-def _write_output(args, text: str) -> None:
+def _write_output(args, chunks) -> None:
+    """Write the strings of ``chunks`` in order, to ``--output`` or stdout, each as soon as it is made."""
     if args.output:
         with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # --------------------------------------------------------------------------
@@ -193,26 +194,42 @@ def _build_config(args, seed: int) -> ProtocolConfig:
     )
 
 
+def _json_chunks(seed: int, runs, reveal: bool):
+    """``json.dumps({"seed": seed, "runs": [{"result": ..., "transcript": ...}]}, indent=2)`` plus a newline, in chunks.
+
+    Per run: its result and the transcript's header, its ``public_log``
+    block, then its ``rounds`` block.
+    """
+    head = '{\n  "seed": %s,\n  "runs": [\n' % json.dumps(seed)
+    for r, t in runs:
+        result = nested_json(session_result_to_dict(r, reveal), 3)
+        chunks = transcript_json_chunks(t, reveal, 3)
+        yield '%s    {\n      "result": %s,\n      "transcript": %s' % (head, result, next(chunks))
+        yield from chunks
+        yield "\n    }"
+        head = ",\n"
+    yield "\n  ]\n}\n"
+
+
 def _payload_json(seed: int, runs, reveal: bool) -> str:
-    """``json.dumps({"seed": seed, "runs": [{"result": ..., "transcript": ...}]}, indent=2)`` plus a newline."""
-    entries = ",\n".join(
-        '    {\n      "result": %s,\n      "transcript": %s\n    }'
-        % (nested_json(session_result_to_dict(r, reveal), 3), nested_transcript_json(t, reveal, 3))
-        for r, t in runs
-    )
-    return '{\n  "seed": %s,\n  "runs": [\n%s\n  ]\n}\n' % (json.dumps(seed), entries)
+    """``_json_chunks`` joined."""
+    return "".join(_json_chunks(seed, runs, reveal))
 
 
-def _run_to_csv(result, transcript, reveal: bool) -> str:
-    report = result.detection
-    head = (
-        f"# rounds_used={result.rounds_used}\n"
-        f"# key_match={result.key_recovered == result.key_sent}\n"
-        f"# detection_rate={format_angle(report.rate)}\n"
-        f"# detection_threshold={format_angle(report.threshold)}\n"
-        f"# verdict={report.verdict.value}\n"
-    )
-    return head + transcript_to_csv(transcript, reveal)
+def _csv_chunks(seed: int, runs, reveal: bool):
+    """The seed, then per run its number, result comments and ``transcript_csv_chunks``."""
+    yield f"# seed={seed}\n"
+    for i, (result, transcript) in enumerate(runs, start=1):
+        report = result.detection
+        yield (
+            f"# run={i}\n"
+            f"# rounds_used={result.rounds_used}\n"
+            f"# key_match={result.key_recovered == result.key_sent}\n"
+            f"# detection_rate={format_angle(report.rate)}\n"
+            f"# detection_threshold={format_angle(report.threshold)}\n"
+            f"# verdict={report.verdict.value}\n"
+        )
+        yield from transcript_csv_chunks(transcript, reveal)
 
 
 def cmd_simulate(args) -> int:
@@ -222,22 +239,17 @@ def cmd_simulate(args) -> int:
         config = dataclasses.replace(config, threshold=calibrate_threshold(config))
 
     if args.method == "3party":
-        (r1, t1), (r2, t2) = run_three_party(config)
-        runs = [(r1, t1), (r2, t2)]
+        runs = list(run_three_party(config))
     elif config.method is Method.METHOD1:
         runs = [run_method1(config)]
     else:
         runs = [run_method2(config)]
-
-    if args.format == "json":
-        _write_output(args, _payload_json(seed, runs, args.reveal_secret))
-    else:
-        chunks = [f"# seed={seed}\n"]
-        for i, (r, t) in enumerate(runs, start=1):
-            chunks.append(f"# run={i}\n" + _run_to_csv(r, t, args.reveal_secret))
-        _write_output(args, "".join(chunks))
-
     detected = any(r.detection.verdict is Verdict.EVE_DETECTED for r, _ in runs)
+
+    # Every run and verdict exists before the output is opened, so a failed
+    # run leaves an existing file as it was.
+    payload = _json_chunks if args.format == "json" else _csv_chunks
+    _write_output(args, payload(seed, runs, args.reveal_secret))
     return EXIT_EVE_DETECTED if detected else EXIT_CLEAN
 
 
@@ -259,7 +271,7 @@ def cmd_expectation(args) -> int:
         f"difference = {format_angle(analytic - numeric)}",
         f"parity = {'none' if parity is None else f'{parity:+d}'}",
     ]
-    _write_output(args, "\n".join(lines) + "\n")
+    _write_output(args, ["\n".join(lines) + "\n"])
     return EXIT_CLEAN
 
 
@@ -278,7 +290,7 @@ def cmd_menu_eval(args) -> int:
     ]
     for triple, parity in triples:
         lines.append("  " + ",".join(format_angle(a) for a in triple) + f" -> {parity:+d}")
-    _write_output(args, "\n".join(lines) + "\n")
+    _write_output(args, ["\n".join(lines) + "\n"])
     return EXIT_CLEAN
 
 
@@ -334,7 +346,7 @@ def cmd_sweep(args) -> int:
         mc = v / n
         stderr = math.sqrt(mc * (1.0 - mc) / n)
         lines.append(f"{format_angle(value)},{format_angle(oracle)},{format_angle(mc)},{format_angle(stderr)}")
-    _write_output(args, "\n".join(lines) + "\n")
+    _write_output(args, ["\n".join(lines) + "\n"])
     return EXIT_CLEAN
 
 

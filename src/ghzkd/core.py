@@ -136,18 +136,21 @@ def observable_for(setting: MeasurementSetting) -> np.ndarray:
     return _observable_cached(setting.mode, setting.phase, setting.polar)
 
 
-def _check_observable(op: np.ndarray) -> np.ndarray:
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 observable, got shape {op.shape}")
-    return _check_observables(op)
-
-
 def _check_observables(ops: np.ndarray) -> np.ndarray:
-    """Reject any of the 2x2 observables in ``ops`` (shape (..., 2, 2)) that is not Hermitian and involutive."""
-    if np.max(np.abs(ops - ops.conj().swapaxes(-1, -2))) > OPERATOR_TOL:
+    """Reject any of the 2x2 observables in ``ops`` (shape (..., 2, 2)) that is not Hermitian and involutive.
+
+    The entries of O - O^H are 2i Im O[0, 0], 2i Im O[1, 1] and
+    +-(O[0, 1] - conj(O[1, 0])).  A Hermitian O is [[a, b], [b*, d]], and the
+    entries of O @ O - I are a^2 + |b|^2 - 1, d^2 + |b|^2 - 1 and b (a + d).
+    The sizes of both sets are computed in elementwise real arithmetic.
+    """
+    a, b, c, d = ops[..., 0, 0], ops[..., 0, 1], ops[..., 1, 0], ops[..., 1, 1]
+    residuals = (2.0 * np.abs(a.imag), 2.0 * np.abs(d.imag), np.hypot(b.real - c.real, b.imag + c.imag))
+    if not all(np.max(r) <= OPERATOR_TOL for r in residuals):  # NaN fails too
         raise ValueError("observable is not Hermitian")
-    if np.max(np.abs(np.einsum("...ij,...jk->...ik", ops, ops) - np.eye(2))) > OPERATOR_TOL:
+    a, d, b_sq = a.real, d.real, b.real**2 + b.imag**2
+    residuals = (np.abs(a * a + b_sq - 1.0), np.abs(d * d + b_sq - 1.0), np.sqrt(b_sq) * np.abs(a + d))
+    if not all(np.max(r) <= OPERATOR_TOL for r in residuals):
         raise ValueError("observable is not involutive (O @ O != I)")
     return ops
 
@@ -206,7 +209,10 @@ def eigenbases(ops: np.ndarray) -> np.ndarray:
 
 def eigenbasis(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase-fixed (+1, -1) eigenvectors of a dichotomic 2x2 observable; ``eigenbases`` of one."""
-    chi_p, chi_m = eigenbases(_check_observable(op)[None])[0].T
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 observable, got shape {op.shape}")
+    chi_p, chi_m = eigenbases(op[None])[0].T
     return chi_p, chi_m
 
 
@@ -295,14 +301,32 @@ def _joint_probs(state: np.ndarray, settings) -> np.ndarray:
     return np.abs(amps) ** 2
 
 
-#: einsum subscripts that apply one 2x2 operator per row to particle a, b or c
-#: of states shaped (n, 2, 2, 2).
-_ONE_QUBIT_SUBSCRIPTS = ("nij,njbc->nibc", "nij,najc->naic", "nij,nabj->nabi")
-
-
 def apply_1q_batch(ops: np.ndarray, states: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply ``ops[i]`` (shape (n, 2, 2)) to particle ``qubit`` (1..3) of ``states[i]`` (shape (n, 2, 2, 2))."""
-    return np.einsum(_ONE_QUBIT_SUBSCRIPTS[_qubit_axis(qubit)], ops, states)
+    """Apply ``ops[i]`` (shape (n, 2, 2)) to particle ``qubit`` (1..3) of ``states[i]`` (shape (n, 2, 2, 2)).
+
+    Amplitude r of the particle becomes ``ops[i][r, 0] * s0 + ops[i][r, 1] * s1``
+    with every complex product written out in real arithmetic, one rounding
+    per operation, which is how ``np.einsum`` computes it.  numpy's own
+    complex multiply fuses the products into FMAs when it dispatches to AVX2
+    or AVX-512, so its last bits would depend on the CPU.  The round index is
+    moved last, so each operation runs along contiguous rows of n; the result
+    is a view of that layout, which a second call reads without a copy.
+    """
+    n = len(ops)
+    axis = _qubit_axis(qubit)
+    s = states.transpose(1, 2, 3, 0).reshape(2**axis, 1, 2, 2 ** (2 - axis), n)
+    o = ops.transpose(1, 2, 0)[:, :, None]
+    s_re, s_im = np.ascontiguousarray(s.real), np.ascontiguousarray(s.imag)
+    o_re, o_im = np.ascontiguousarray(o.real), np.ascontiguousarray(o.imag)
+    # Axes (before, row r, summed column j, after, round); then sum over j.
+    re = o_re * s_re
+    re -= o_im * s_im
+    im = o_re * s_im
+    im += o_im * s_re
+    out = np.empty((2**axis, 2, 2 ** (2 - axis), n), dtype=complex)
+    np.add(re[:, :, 0], re[:, :, 1], out=out.real)
+    np.add(im[:, :, 0], im[:, :, 1], out=out.imag)
+    return out.reshape(2, 2, 2, n).transpose(3, 0, 1, 2)
 
 
 def joint_probs_batch(states: np.ndarray, bases) -> np.ndarray:

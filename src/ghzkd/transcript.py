@@ -11,11 +11,19 @@ simulator's god view, which includes every party's private data), and
 One writer emits JSON and CSV straight from the columns, with no record or
 message object per round.  ``_round_view`` decides which round fields each
 view shows, for both formats: the default public view blanks private fields,
-``reveal_secret=True`` shows everything.  Each angle is formatted once, and
-every row goes through one ``%`` template per row shape (a retained or a
-discarded round).  The JSON text is byte for byte what
-``json.dumps(..., indent=2)`` writes for the same data; the small header and
-result dicts go through ``json.dumps`` itself, re-indented to their depth.
+``reveal_secret=True`` shows everything.  Each index and angle is turned into
+text once.  A block of rows is assembled column-wise: the text between the
+values is split out of a template once, every piece takes its place in every
+row by slice assignment, and the block is one ``str.join``, so no row
+template is scanned per row.  The text that depends only on a round's flags,
+outcomes, parity and bits is formatted once per distinct combination of
+them.  The writer yields a transcript as a few chunks (the header, the
+``public_log`` block, the ``rounds`` block, and the text between them), so
+``ghzkd simulate`` writes each block as soon as it is made and never builds
+the whole payload as one string; ``transcript_to_json`` and
+``transcript_to_csv`` join the same chunks.  The JSON text is byte for byte
+what ``json.dumps(..., indent=2)`` writes for the same data; the small header
+and result dicts go through ``json.dumps`` itself, re-indented to their depth.
 
 Angles are serialized as decimal radians with up to 17 significant digits,
 which round-trips IEEE doubles exactly.
@@ -54,6 +62,8 @@ ROUND_FIELDS = (
 
 _ANGLES = {"phi_a", "phi_b", "phi_c"}
 _FLAGS = {"retained", "violation"}
+#: The fields after the index and the angles: flags, outcomes, parity and bits.
+_NARROW = frozenset(ROUND_FIELDS[4:])
 
 
 _ANGLE_FORMAT = ".17g"
@@ -192,12 +202,12 @@ def _header_dict(t: Transcript, reveal_secret: bool) -> dict:
 def _round_view(t: Transcript, reveal_secret: bool) -> dict[str, tuple[list | None, tuple[bool, bool]]]:
     """Each round field's column and whether it shows on (retained, discarded) rounds.
 
-    A column holds Python values, angles already formatted; it is None for a
-    field the view blanks on every round.  Private per-round data is Bob's
-    angle, the a/b outcomes and bits, the parity class, and the violation
-    flag (it derives from parity and the sender's key).  Charlie's outcome is
-    public only once announced as a bit on a retained round.  The parity and
-    the bits exist on retained rounds only.
+    A column holds Python values, the index and the angles already as text;
+    it is None for a field the view blanks on every round.  Private
+    per-round data is Bob's angle, the a/b outcomes and bits, the parity
+    class, and the violation flag (it derives from parity and the sender's
+    key).  Charlie's outcome is public only once announced as a bit on a
+    retained round.  The parity and the bits exist on retained rounds only.
     """
     every, kept_only = (True, True), (True, False)
     secret, secret_kept_only = (reveal_secret, reveal_secret), (reveal_secret, False)
@@ -205,7 +215,7 @@ def _round_view(t: Transcript, reveal_secret: bool) -> dict[str, tuple[list | No
     outcome_a, outcome_b, outcome_c = t.outcomes.T.tolist()
     d_bit, c_bit, e_bit, b_bit = t.bits.T.tolist()
     table = (
-        ("index", list(range(len(phi_a))), every),
+        ("index", list(map(str, range(len(phi_a)))), every),
         ("phi_a", phi_a, every),
         ("phi_b", phi_b, secret),
         ("phi_c", phi_c, every),
@@ -249,10 +259,54 @@ def _shape_templates(view: dict, angle: str, blank: str) -> tuple[list, list]:
     return shapes
 
 
-def _format_rows(templates: list[str], view: dict, columns: list[list]) -> list[str]:
-    """Each round's row of ``columns`` through its shape's template (retained, discarded)."""
-    kept, dropped = templates
-    return [(kept if r else dropped) % row for r, row in zip(view["retained"][0], zip(*columns))]
+def _join_rows(parts: list, n: int, sep: str, lead: str = "") -> str:
+    """n rows, ``sep`` between them and ``lead`` before the first: row r is ``parts[0][r] + parts[1][r] + ...``.
+
+    A part is a list of n strings, or one string that every row repeats.
+    Each part takes its place in every row with one slice assignment, and
+    all rows are joined at once, so no row template is scanned per row.
+    """
+    k = len(parts) + 1
+    pieces = [sep] * (k * n)
+    for j, part in enumerate(parts, start=1):
+        pieces[j::k] = [part] * n if isinstance(part, str) else part
+    if pieces:
+        pieces[0] = lead
+    return "".join(pieces)
+
+
+def _narrow_codes(t: Transcript) -> np.ndarray:
+    """One code per round, equal for two rounds exactly when all their ``_NARROW`` fields are equal."""
+    code = np.zeros(len(t.retained), dtype=np.int64)
+    for column in (t.retained, *t.outcomes.T, t.parity, *t.bits.T, t.violation):
+        code = 3 * code + (column.astype(np.int64) + 1)  # every narrow value is -1, 0 or 1
+    return code
+
+
+def _round_rows(t: Transcript, view: dict, shapes: list, frame: tuple[str, str, str], flags: tuple, sep: str) -> str:
+    """The rows of ``rounds``, ``sep`` between them.
+
+    A row is the opening, the field texts of its shape joined by the
+    separator, and the closing: ``frame`` is (opening, separator, closing) and
+    ``shapes`` the fields' (name, text) on a retained and on a discarded row.
+    The index and the angles show alike on both shapes and fill the ``%s``
+    of one head template.  The ``_NARROW`` fields after them are formatted
+    once per distinct combination into that combination's tail; ``flags`` is
+    the text of False and True.
+    """
+    opening, field_sep, closing = frame
+    wide = [column for name, (column, _) in view.items() if name not in _NARROW and column is not None]
+    narrow = [(name, column) for name, (column, _) in view.items() if name in _NARROW and column is not None]
+    head = (opening + field_sep.join(text for name, text in shapes[0] if name not in _NARROW) + field_sep).split("%s")
+    _, first, which = np.unique(_narrow_codes(t), return_index=True, return_inverse=True)
+    tails = []
+    for r in first.tolist():
+        shape = shapes[0] if view["retained"][0][r] else shapes[1]
+        values = tuple(flags[column[r]] if name in _FLAGS else column[r] for name, column in narrow)
+        tails.append(field_sep.join(text for name, text in shape if name in _NARROW) % values + closing)
+    parts = [piece for pair in zip(head, wide) for piece in pair]
+    parts += [head[-1], [tails[k] for k in which.tolist()]]
+    return _join_rows(parts, len(t.retained), sep)
 
 
 def nested_json(obj, level: int) -> str:
@@ -271,68 +325,85 @@ def _json_message(pad: str, sender: str, kind: str, value: str) -> str:
 
 
 def _json_log(t: Transcript, view: dict, level: int) -> str:
-    """The ``public_log`` entries: the menu, then each round's angles and its bits or discard notice."""
+    """The ``public_log`` entries: the menu, then each round's angles and its bits or discard notice.
+
+    A round's entries are the angle messages, with its index and the two
+    angles filled in, then one of five tails: the D and C bit messages (one
+    text per pair of bit values) around the index twice, or the discard
+    notice around the index once.
+    """
     pad = "  " * level
     angles = _json_message(pad, "alice", "angle", '"%s"') + ",\n" + _json_message(pad, "charlie", "angle", '"%s"')
-    bits = _json_message(pad, "alice", "d_bit", "%s") + ",\n" + _json_message(pad, "charlie", "c_bit", "%s")
-    # A discarded round's row still carries D, an index and C: consume them.
-    discard = _json_message(pad, "bob", "discard", "true") + "%.0s" * 3
-    index, phi_a, phi_c = (view[name][0] for name in ("index", "phi_a", "phi_c"))
-    d_bit, c_bit = (view[name][0] for name in ("d_bit", "c_bit"))
-    columns = [index, phi_a, index, phi_c, index, d_bit, index, c_bit]
-    entries = _format_rows([angles + ",\n" + bits, angles + ",\n" + discard], view, columns)
-    if t.menu is not None:
-        menu = {"round": SESSION_SCOPE, "sender": "bob", "kind": "menu", "value": [format_angle(a) for a in t.menu]}
-        entries.insert(0, pad + nested_json(menu, level))
-    return ",\n".join(entries)
+    angles = angles.split("%s")
+    bits = [
+        ",\n" + _json_message(pad, "alice", "d_bit", d) + ",\n" + _json_message(pad, "charlie", "c_bit", c)
+        for d in "01"
+        for c in "01"
+    ]
+    discard = ",\n" + _json_message(pad, "bob", "discard", "true") + "%s"  # its second index slot writes ""
+    tails = [text.split("%s") for text in (*bits, discard)]
+    tail = np.where(t.retained, 2 * t.bits[:, 0] + t.bits[:, 1], 4).tolist()
+    index, phi_a, phi_c, retained = (view[name][0] for name in ("index", "phi_a", "phi_c", "retained"))
+    parts = [angles[0], index, angles[1], phi_a, angles[2], index, angles[3], phi_c, angles[4]]
+    parts += [[tails[k][0] for k in tail], index, [tails[k][1] for k in tail]]
+    parts += [[i if r else "" for i, r in zip(index, retained)], [tails[k][2] for k in tail]]
+    if t.menu is None:
+        return _join_rows(parts, len(index), ",\n")
+    menu = {"round": SESSION_SCOPE, "sender": "bob", "kind": "menu", "value": [format_angle(a) for a in t.menu]}
+    menu = pad + nested_json(menu, level)
+    return _join_rows(parts, len(index), ",\n", lead=menu + ",\n") if index else menu
 
 
-def _json_rounds(view: dict, level: int) -> str:
+def _json_rounds(t: Transcript, view: dict, level: int) -> str:
     """The ``rounds`` entries; flags become JSON's true and false."""
     pad = "  " * level
-    templates = [
-        f"{pad}{{\n" + ",\n".join(f'{pad}  "{name}": {text}' for name, text in shape) + f"\n{pad}}}"
-        for shape in _shape_templates(view, angle='"%s"', blank="null")
-    ]
-    columns = [
-        [("false", "true")[v] for v in column] if name in _FLAGS else column
-        for name, (column, _) in view.items()
-        if column is not None
-    ]
-    return ",\n".join(_format_rows(templates, view, columns))
+    frame = (f"{pad}{{\n{pad}  ", f",\n{pad}  ", f"\n{pad}}}")
+    shapes = _shape_templates(view, angle='"%s"', blank="null")
+    shapes = [[(name, f'"{name}": {text}') for name, text in shape] for shape in shapes]
+    return _round_rows(t, view, shapes, frame, ("false", "true"), ",\n")
 
 
-def nested_transcript_json(t: Transcript, reveal_secret: bool, level: int) -> str:
-    """The transcript's JSON object as ``json.dumps(..., indent=2)`` writes it ``level`` levels deep."""
+def transcript_json_chunks(t: Transcript, reveal_secret: bool, level: int):
+    """The transcript's JSON object as ``json.dumps(..., indent=2)`` writes it ``level`` levels deep, in chunks.
+
+    The header, the ``public_log`` block and the ``rounds`` block, each with
+    the text that joins it to the next; their concatenation is the object.
+    """
     view = _round_view(t, reveal_secret)
     pad, inner = "  " * level, "  " * (level + 1)
-    return (
+    yield (
         "{\n"
         f'{inner}"header": {nested_json(_header_dict(t, reveal_secret), level + 1)},\n'
-        f'{inner}"public_log": [\n{_json_log(t, view, level + 2)}\n{inner}],\n'
-        f'{inner}"rounds": [\n{_json_rounds(view, level + 2)}\n{inner}]\n'
-        f"{pad}}}"
+        f'{inner}"public_log": [\n'
     )
+    yield _json_log(t, view, level + 2)
+    yield f'\n{inner}],\n{inner}"rounds": [\n'
+    yield _json_rounds(t, view, level + 2)
+    yield f"\n{inner}]\n{pad}}}"
 
 
 def transcript_to_json(t: Transcript, reveal_secret: bool = False) -> str:
     """The transcript as indented JSON: header, public log, and per-round records."""
-    return nested_transcript_json(t, reveal_secret, 0) + "\n"
+    return "".join(transcript_json_chunks(t, reveal_secret, 0)) + "\n"
 
 
 def transcript_to_dict(t: Transcript, reveal_secret: bool = False) -> dict:
     """JSON-compatible dict with header, public log, and per-round records, read back from the writer."""
-    return json.loads(nested_transcript_json(t, reveal_secret, 0))
+    return json.loads("".join(transcript_json_chunks(t, reveal_secret, 0)))
 
 
-def transcript_to_csv(t: Transcript, reveal_secret: bool = False) -> str:
-    """Flat one-row-per-round CSV; the header rides along as # comments.
+def transcript_csv_chunks(t: Transcript, reveal_secret: bool = False):
+    """Flat one-row-per-round CSV in chunks: the header as # comments plus the column names, then the rows.
 
     Flags print as True and False, blanks as empty cells; no cell needs quoting.
     """
     view = _round_view(t, reveal_secret)
-    templates = [",".join(text for _, text in shape) for shape in _shape_templates(view, angle="%s", blank="")]
-    columns = [column for column, _ in view.values() if column is not None]
     head = "".join(f"# {key}={value}\n" for key, value in _header_dict(t, reveal_secret).items())
-    rows = _format_rows(templates, view, columns)
-    return head + ",".join(ROUND_FIELDS) + "\n" + "\n".join(rows) + "\n"
+    yield head + ",".join(ROUND_FIELDS) + "\n"
+    yield _round_rows(t, view, _shape_templates(view, angle="%s", blank=""), ("", ",", ""), ("False", "True"), "\n")
+    yield "\n"
+
+
+def transcript_to_csv(t: Transcript, reveal_secret: bool = False) -> str:
+    """``transcript_csv_chunks`` joined."""
+    return "".join(transcript_csv_chunks(t, reveal_secret))

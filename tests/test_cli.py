@@ -821,3 +821,31 @@ def test_sweep_output_bytes_are_pinned(capsys):
         argv += ["--phases", "pi/3,pi/6,3pi/2"] if phases == "explicit" else []
         cases.append((argv, int(code), digest))
     assert not _mismatches(cases, capsys)
+
+
+def test_output_file_bytes_equal_stdout_bytes(tmp_path, capsys):
+    # The pinned digests read stdout; --output must write the same chunks.
+    menu = ["simulate", "--method", "1", "--menu", "0,pi/2,pi", "--key-length", "64", "--seed", "1"]
+    full_size = ["simulate", "--method", "2", "--key-length", "4096", "--noise-p", "0.05", "--seed", "1"]
+    three_party = ["simulate", "--method", "3party", "--menu", "0,pi/2,pi", "--key-length", "37", "--seed", "5"]
+    cases = [
+        [*menu, "--reveal-secret"],
+        [*menu, "--format", "csv"],
+        [*full_size, "--reveal-secret", "--eve", "intercept-a", "--eve-angle", "1.234"],
+        three_party,
+    ]
+    for i, argv in enumerate(cases):
+        code = main(argv)
+        stdout = capsys.readouterr().out.encode()
+        path = tmp_path / f"out{i}"
+        assert main([*argv, "--output", str(path)]) == code
+        assert path.read_bytes() == stdout
+
+
+def test_key_exhausted_run_keeps_existing_output(tmp_path, capsys):
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier run\n")
+    argv = ["simulate", "--method", "1", "--menu", "0,pi/2,pi", "--key-length", "64", "--rounds", "64", "--seed", "1"]
+    assert main([*argv, "--output", str(kept)]) == EXIT_ERROR
+    assert "key bits placed" in capsys.readouterr().err
+    assert kept.read_text() == "earlier run\n"

@@ -11,6 +11,7 @@ from ghzkd.core import (
     OUTCOME_TRIPLES,
     _check_states,
     _joint_probs,
+    apply_1q_batch,
     born_probabilities,
     eigenbases,
     eigenbasis,
@@ -32,6 +33,7 @@ from ghzkd.core import (
     tensor3,
     wave_retarder,
 )
+from ghzkd.adversary import PAULI_STACK
 from ghzkd.ghz import GhzSpec, ghz_state
 
 I2 = np.eye(2)
@@ -173,8 +175,24 @@ def test_eigenbases_equal_the_scalar_formula_bit_for_bit():
 
 
 def test_eigenbasis_rejects_non_involutions():
-    with pytest.raises(ValueError):
-        eigenbasis(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    # diag(sqrt(1 + r), -1) squares to diag(1 + r, 1): its O @ O - I residual is r.
+    def off_by(residual):
+        return np.diag([math.sqrt(1.0 + residual), -1.0]).astype(complex)
+
+    for op in (np.array([[1.0, 1.0], [1.0, 1.0]]), off_by(1e-11)):
+        with pytest.raises(ValueError, match="involutive"):
+            eigenbasis(op)
+        with pytest.raises(ValueError, match="involutive"):
+            eigenbases(np.array([observable_for(spin_setting(0.3)), op]))
+    eigenbasis(off_by(1e-13))
+    eigenbases(np.array([observable_for(spin_setting(0.3)), off_by(1e-13)]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigenbasis(np.array([[1.0, 1.0], [0.0, -1.0]]))
+    for op in ([[math.nan, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1j * math.nan]]):
+        with pytest.raises(ValueError):
+            eigenbasis(np.array(op))
+    with pytest.raises(ValueError, match="2x2"):
+        eigenbasis(np.eye(3))
 
 
 def test_tensor3():
@@ -294,6 +312,44 @@ def test_batched_kernel_matches_the_scalar_engine():
         for got, state, triple in zip(probs, states, phases):
             want = _joint_probs(state, tuple(MeasurementSetting(mode, p) for p in triple))
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+#: The einsum form of ``apply_1q_batch``: ``ops[n]`` on particle a, b or c of
+#: states shaped (n, 2, 2, 2).  numpy's einsum forms each complex product and
+#: sum one real operation at a time, whatever SIMD the CPU has.
+_ONE_QUBIT_SUBSCRIPTS = ("nij,njbc->nibc", "nij,najc->naic", "nij,nabj->nabi")
+
+
+def _ref_apply_1q_batch(ops, states, qubit):
+    return np.einsum(_ONE_QUBIT_SUBSCRIPTS[qubit - 1], ops, states)
+
+
+def _ref_joint_probs_batch(states, bases):
+    amps = states
+    for qubit, basis in enumerate(bases, start=1):
+        amps = _ref_apply_1q_batch(basis.conj().swapaxes(1, 2), amps, qubit)
+    return (np.abs(amps) ** 2).reshape(len(amps), 8)
+
+
+def test_one_qubit_kernel_equals_einsum_bit_for_bit():
+    # The operators the library applies: Pauli noise and eigenbasis adjoints
+    # in both modes.  The states are random, or one state broadcast with
+    # stride 0 over the rounds: any strided input must give einsum's bits.
+    rng = np.random.default_rng(53)
+    for n in (1, 27, 4096):
+        states = np.array([_random_state(rng) for _ in range(n)]).reshape(n, 2, 2, 2)
+        shared = np.broadcast_to(_random_state(rng).reshape(2, 2, 2), (n, 2, 2, 2))
+        bases = [eigenbases(observables(mode, rng.uniform(0, 2 * math.pi, n))) for mode in Mode]
+        operators = [PAULI_STACK[rng.integers(4, size=n)], *(b.conj().swapaxes(1, 2) for b in bases)]
+        for ops in operators:
+            for qubit in (1, 2, 3):
+                for s in (states, shared):
+                    assert np.array_equal(apply_1q_batch(ops, s, qubit), _ref_apply_1q_batch(ops, s, qubit))
+        for mode in Mode:
+            triples = eigenbases(observables(mode, rng.uniform(0, 2 * math.pi, 3 * n)))
+            per_particle = triples.reshape(n, 3, 2, 2).swapaxes(0, 1)
+            for s in (states, shared):
+                assert np.array_equal(joint_probs_batch(s, per_particle), _ref_joint_probs_batch(s, per_particle))
 
 
 def test_batched_state_check_rejects_any_bad_row():
