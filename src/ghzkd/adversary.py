@@ -5,17 +5,18 @@ eavesdropper's projective outcomes, and the parties' joint outcomes), so
 they are exact up to float rounding.  Each oracle call is one batched
 enumeration, ``_violation_rates``, over all of its phase triples, whose
 array operations and summation order reproduce a one-state-at-a-time
-enumeration bit for bit.  Its set-up is array work too: the noise-branch
-states are built as arrays once per GHZ spec, and the parities and the
+enumeration bit for bit.  Its set-up is cheap: the noise-branch states
+are built once per GHZ spec, and the parities and the
 continuous grids' receiver angles come from ``ghz.parity_rule`` and
 ``ghz.bob_phases``.
 The Monte-Carlo estimator they are checked against,
 ``protocol.monte_carlo_violation_rate``, plays real session rounds; tests
 and sweeps compare the two rather than trusting either alone.
 
-Channel pipeline for a round, matching the protocol runner: the prepared
-state passes noise on particles a and c (the two in transit), then an
-intercept-resend eavesdropper measures particle a, then the parties measure.
+Channel pipeline for a round, which the protocol runner samples from its
+closed-form law (``ghz.outcome_probs``): the prepared state passes noise on
+particles a and c (the two in transit), then an intercept-resend
+eavesdropper measures particle a, then the parties measure.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from .core import (
     MeasurementSetting,
     PRODUCT_BY_INDEX,
     TWO_PI,
+    _apply_1q,
     _check_states,
     _joint_probs,
-    apply_1q_batch,
     eigenbases,
-    eigenbasis_for,
     measure_single,
     normalize_angle,
     normalize_angles,
@@ -148,7 +148,7 @@ def detection_report_to_dict(report: DetectionReport) -> dict:
 # Channel actions
 
 
-#: I, X, Y and Z stacked, so an array of indices picks one per round.
+#: I, X, Y and Z, indexed as the transit noise draws them.
 PAULI_STACK = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
@@ -164,7 +164,7 @@ def apply_noise(state: np.ndarray, qubit: int, model: NoiseModel, rng: np.random
     k = int(rng.integers(4))
     if k == 0:
         return state
-    return apply_1q_batch(PAULI_STACK[k : k + 1], state.reshape(1, 2, 2, 2), qubit).reshape(8)
+    return _apply_1q(PAULI_STACK[k], state, qubit)
 
 
 @dataclass(frozen=True)
@@ -187,41 +187,6 @@ def eve_intercept_resend(
     setting = MeasurementSetting(mode, eve_angle)
     outcome, post = measure_single(state, 1, setting, rng)
     return post, EveInterceptRecord(setting.phase, outcome)
-
-
-def transit_batch(prepared, paulis, mode: Mode, eve_angles=None, eve_u=None):
-    """``apply_noise`` on particles a and c, then ``eve_intercept_resend``, for n rounds at once.
-
-    Every round starts in the ``prepared`` state (shape (2, 2, 2)).
-    ``paulis[:, j]`` (shape (2, n)) is the Pauli (0 = I, 1 = X, 2 = Y, 3 = Z)
-    the noise puts on round j's particles a and c.  With ``eve_angles`` (shape
-    (n,)) an eavesdropper then measures particle a of round j at angle
-    ``eve_angles[j]``, in the basis ``eigenbasis_for`` gives, takes outcome
-    +1 when ``eve_u[j]`` is below its Born probability, as ``measure_single``
-    does with its draw, and resends the renormalized collapsed state.
-
-    Returns the rounds the channel changes and their states, shape (m, 2, 2, 2).
-    """
-    eve = eve_angles is not None
-    rows = np.flatnonzero(paulis.any(axis=0) | eve)
-    states = np.empty((len(rows), 2, 2, 2), dtype=complex)
-    states[...] = prepared
-    for qubit, k in ((1, paulis[0, rows]), (3, paulis[1, rows])):
-        hit = np.flatnonzero(k)  # the Pauli I leaves a state as it is
-        if len(hit):
-            states[hit] = apply_1q_batch(PAULI_STACK[k[hit]], states[hit], qubit)
-    if eve:  # every round is intercepted, so ``rows`` counts 0 to n - 1
-        _check_states(states.reshape(len(rows), 8))
-        angles, which = np.unique(eve_angles, return_inverse=True)
-        bases = [np.column_stack(eigenbasis_for(MeasurementSetting(mode, a))) for a in angles.tolist()]
-        eve_bases = np.stack(bases)[which]
-        amps = apply_1q_batch(eve_bases.conj().swapaxes(1, 2), states, 1)
-        probs = (np.abs(amps) ** 2).reshape(len(rows), 2, 4).sum(axis=2)
-        branch = (eve_u >= probs[:, 0]).astype(np.intp)
-        chi = eve_bases[rows, :, branch]
-        norm = np.sqrt(probs[rows, branch])
-        states = chi[:, :, None, None] * amps[rows, branch][:, None] / norm[:, None, None, None]
-    return rows, states
 
 
 # --------------------------------------------------------------------------
@@ -278,13 +243,11 @@ _BROKEN = np.array([np.flatnonzero(PRODUCT_BY_INDEX != parity) for parity in (1,
 def _noise_branch_states(spec: GhzSpec) -> np.ndarray:
     """The state of ``spec`` after each of the 16 Pauli pairs on particles a and c, a's Pauli outermost, shape (16, 8).
 
-    Built once per spec: the one-qubit kernel's fixed cost would otherwise
-    be paid twice on every oracle call.
+    Built once per spec rather than on every oracle call.
     """
-    states = ghz_state(spec).reshape(1, 2, 2, 2)
-    for qubit in (1, 3):
-        states = apply_1q_batch(np.tile(PAULI_STACK, (len(states), 1, 1)), np.repeat(states, 4, axis=0), qubit)
-    states = _check_states(states.reshape(-1, 8))
+    prepared = ghz_state(spec)
+    states = np.array([_apply_1q(pc, _apply_1q(pa, prepared, 1), 3) for pa in PAULI_STACK for pc in PAULI_STACK])
+    states = _check_states(states)
     states.setflags(write=False)
     return states
 

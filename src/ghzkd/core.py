@@ -224,11 +224,6 @@ def _eigenbasis_cached(mode: Mode, phase: float, polar: float):
     return chi_p, chi_m
 
 
-def eigenbasis_for(setting: MeasurementSetting) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-fixed eigenvectors of the observable for a setting."""
-    return _eigenbasis_cached(setting.mode, setting.phase, setting.polar)
-
-
 def tensor3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Kronecker product a (x) b (x) c with the first factor most significant."""
     for name, op in (("a", a), ("b", b), ("c", c)):
@@ -249,9 +244,8 @@ def _check_state(state: np.ndarray, dim: int = 8) -> np.ndarray:
 def _check_states(states: np.ndarray) -> np.ndarray:
     """Reject any row of ``states`` (shape (n, dim)) that is not a finite, normalized state vector.
 
-    The one state check: sessions, the Monte-Carlo estimator and the exact
-    oracles check their states here in batches, and ``_check_state`` is its
-    one-row view for the scalar functions.
+    The one state check: the exact oracles check their states here in
+    batches, and ``_check_state`` is its one-row view for the scalar functions.
     """
     if not np.all(np.isfinite(states)):
         raise ValueError("state vector contains non-finite amplitudes")
@@ -301,79 +295,6 @@ def _joint_probs(state: np.ndarray, settings) -> np.ndarray:
     return np.abs(amps) ** 2
 
 
-def apply_1q_batch(ops: np.ndarray, states: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply ``ops[i]`` (shape (n, 2, 2)) to particle ``qubit`` (1..3) of ``states[i]`` (shape (n, 2, 2, 2)).
-
-    Amplitude r of the particle becomes ``ops[i][r, 0] * s0 + ops[i][r, 1] * s1``
-    with every complex product written out in real arithmetic, one rounding
-    per operation, which is how ``np.einsum`` computes it.  numpy's own
-    complex multiply fuses the products into FMAs when it dispatches to AVX2
-    or AVX-512, so its last bits would depend on the CPU.  The round index is
-    moved last, so each operation runs along contiguous rows of n; the result
-    is a view of that layout, which a second call reads without a copy.
-    """
-    n = len(ops)
-    axis = _qubit_axis(qubit)
-    s = states.transpose(1, 2, 3, 0).reshape(2**axis, 1, 2, 2 ** (2 - axis), n)
-    o = ops.transpose(1, 2, 0)[:, :, None]
-    s_re, s_im = np.ascontiguousarray(s.real), np.ascontiguousarray(s.imag)
-    o_re, o_im = np.ascontiguousarray(o.real), np.ascontiguousarray(o.imag)
-    # Axes (before, row r, summed column j, after, round); then sum over j.
-    re = o_re * s_re
-    re -= o_im * s_im
-    im = o_re * s_im
-    im += o_im * s_re
-    out = np.empty((2**axis, 2, 2 ** (2 - axis), n), dtype=complex)
-    np.add(re[:, :, 0], re[:, :, 1], out=out.real)
-    np.add(im[:, :, 0], im[:, :, 1], out=out.imag)
-    return out.reshape(2, 2, 2, n).transpose(3, 0, 1, 2)
-
-
-def joint_probs_batch(states: np.ndarray, bases) -> np.ndarray:
-    """``_joint_probs`` for many rounds: states (n, 2, 2, 2), one (n, 2, 2) eigenbasis stack per particle.
-
-    Each particle's basis change is one 2x2 contraction; the result has
-    shape (n, 8) in basis-index order.
-    """
-    amps = states
-    for qubit, basis in enumerate(bases, start=1):
-        amps = apply_1q_batch(basis.conj().swapaxes(1, 2), amps, qubit)
-    return (np.abs(amps) ** 2).reshape(len(amps), 8)
-
-
-#: Most rounds sampled in one batch; bounds a long run's working memory.
-_MAX_BATCH = 4096
-
-
-def sample_joint_batch(prepared, rows, states, mode: Mode, phases, triple_id, u) -> np.ndarray:
-    """``sample_joint`` for a batch of n rounds: their outcome triples, shape (n, 3).
-
-    Round j is measured at ``phases[j]`` with draw ``u[j]``.  The rounds
-    ``rows`` are in ``states`` (shape (m, 2, 2, 2)); every other round is in
-    the ``prepared`` state (2, 2, 2) and reads the probabilities of the first
-    such round with its settings triple (equal ``triple_id``).  The
-    eigenbases are built once per distinct triple.
-    """
-    n = len(u)
-    untouched = np.delete(np.arange(n), rows)
-    _, first, inverse = np.unique(triple_id[untouched], return_index=True, return_inverse=True)
-    owner = np.arange(n)
-    owner[untouched] = untouched[first][inverse]
-    kernel = np.concatenate([rows, untouched[first]])
-    states = np.concatenate([states, np.broadcast_to(prepared, (len(first), 2, 2, 2))])
-    _check_states(states.reshape(len(kernel), 8))
-    _, kernel_first, kernel_triple = np.unique(triple_id[kernel], return_index=True, return_inverse=True)
-    bases = eigenbases(observables(mode, phases[kernel[kernel_first]])).reshape(len(kernel_first), 3, 2, 2)
-    bases = bases[kernel_triple]
-    probs = np.empty((n, 8))
-    probs[kernel] = joint_probs_batch(states, bases.swapaxes(0, 1))
-
-    # Inverse-CDF pick, as searchsorted(cumsum(probs), u, side="right") per round.
-    cum = np.cumsum(probs[owner], axis=1)
-    ks = np.minimum((cum <= u[:, None]).sum(axis=1), 7)
-    return np.array(OUTCOME_TRIPLES)[ks]
-
-
 def joint_outcome_distribution(state: np.ndarray, settings) -> dict[tuple[int, int, int], float]:
     """Joint Born distribution over the 8 outcome triples (+1/-1 per particle)."""
     state = _check_state(state)
@@ -405,6 +326,12 @@ def _qubit_axis(qubit: int) -> int:
     if qubit not in (1, 2, 3):
         raise ValueError(f"qubit index must be 1, 2 or 3, got {qubit!r}")
     return qubit - 1
+
+
+def _apply_1q(op: np.ndarray, state: np.ndarray, qubit: int) -> np.ndarray:
+    """``state`` with the 2x2 ``op`` on particle ``qubit`` (1..3); exact for a Pauli, whose entries are 0, +-1, +-i."""
+    ax = _qubit_axis(qubit)
+    return np.moveaxis(np.tensordot(op, np.reshape(state, (2, 2, 2)), axes=([1], [ax])), 0, ax).reshape(8)
 
 
 def project_single(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OUTCOME_TRIPLES, TWO_PI, normalize_angle, normalize_angles
+from .core import OUTCOME_TRIPLES, PRODUCT_BY_INDEX, TWO_PI, normalize_angle, normalize_angles
 
 SUPER_CLASSICAL_TOL = 1e-9
 
@@ -102,6 +102,37 @@ def analytic_expectation(spec: GhzSpec, phases) -> float:
     phase triple is mode-agnostic.
     """
     return spec.phase * math.cos(signed_phase_sum(spec, phases))
+
+
+#: Particle a's outcome, and the product of b's and c's, at each basis index.
+_OUTCOME_A, _OUTCOME_BC = np.array([(a, b * c) for a, b, c in OUTCOME_TRIPLES]).T
+
+
+def outcome_probs(spec: GhzSpec, phases, paulis, eve_angles=None, eve_x=None) -> np.ndarray:
+    """Probabilities of the 8 outcome triples of each round, shape (n, 8) in basis-index order.
+
+    Round j measures at ``phases[j]`` the ray of ``spec`` after the Paulis
+    ``paulis[:, j]`` (0 = I, 1 = X, 2 = Y, 3 = Z) on particles a and c.  X flips
+    that particle's pattern sign, Z the relative phase and Y both, giving signs
+    s' and phase ph', and P(o) = (1 + o_a o_b o_c ph' cos(s'.phi)) / 8.  With
+    ``eve_angles`` an eavesdropper first measured particle a at e and got
+    ``eve_x`` (+1 or -1, each with probability 1/2 on any GHZ ray), so
+    P(o | x) = (1 + x o_a cos(phi_a - e)) (1 + x o_b o_c ph' cos(s'_1 e + s'_2 phi_b + s'_3 phi_c)) / 8.
+    Polarization is spin at negated angles and the cosine is even, so the law
+    needs no mode.  It is elementwise arithmetic, with no BLAS reduction.
+    """
+    phi_a, phi_b, phi_c = np.asarray(phases, dtype=float).T
+    sign_flip = (paulis == 1) | (paulis == 2)
+    phase_flip = (paulis == 2) | (paulis == 3)
+    s1, s2, s3 = spec.signs
+    s1, s3 = np.where(sign_flip[0], -s1, s1), np.where(sign_flip[1], -s3, s3)
+    ph = np.where(phase_flip[0] ^ phase_flip[1], -spec.phase, spec.phase)
+    if eve_angles is None:
+        e = ph * np.cos(s1 * phi_a + s2 * phi_b + s3 * phi_c)
+        return (1.0 + e[:, None] * PRODUCT_BY_INDEX) / 8.0
+    a = eve_x * np.cos(phi_a - eve_angles)
+    bc = eve_x * ph * np.cos(s1 * eve_angles + s2 * phi_b + s3 * phi_c)
+    return (1.0 + a[:, None] * _OUTCOME_A) * (1.0 + bc[:, None] * _OUTCOME_BC) / 8.0
 
 
 def parity_rule(spec: GhzSpec, phases) -> np.ndarray:

@@ -19,7 +19,9 @@ noise up to three, the eavesdropper up to two), and ``streams`` derives
 those for a whole batch of rounds at once; ``tests/test_streams.py`` pins
 that module to numpy's SeedSequence, PCG64 and Lemire algorithms.  Only a
 bounded integer that numpy's Lemire rule rejects (odds 2**-32) sends its
-round to a real numpy generator.
+round to a real numpy generator.  A round's outcomes are drawn from the
+closed-form law of its 8 outcomes, ``ghz.outcome_probs``, so no round
+builds a state vector.
 
 Sessions are runs 1 and 2; the Monte-Carlo estimator,
 ``monte_carlo_violation_rate``, plays run 0's rounds at one fixed triple.
@@ -35,15 +37,14 @@ import numpy as np
 
 from . import streams
 from .adversary import DetectionReport, EveKind, EveStrategy, NoiseModel, detect, detection_report_to_dict
-from .adversary import transit_batch
-from .core import _MAX_BATCH, Mode, normalize_angle, normalize_angles, sample_joint_batch
+from .core import OUTCOME_TRIPLES, Mode, normalize_angle, normalize_angles
 
 # Rounds no longer call ``sample_joint``, ``apply_noise`` or
 # ``eve_intercept_resend``; the names stay importable here because
 # bench/spans.py traces them as ``protocol.<name>``.
 from .adversary import apply_noise, eve_intercept_resend  # noqa: F401
 from .core import sample_joint  # noqa: F401
-from .ghz import GhzSpec, bob_phases, ghz_state, is_super_classical, menu_quality, parity_rule
+from .ghz import GhzSpec, bob_phases, is_super_classical, menu_quality, outcome_probs, parity_rule
 from .transcript import Transcript
 
 
@@ -68,6 +69,9 @@ _ROLE_ALICE, _ROLE_BOB, _ROLE_CHARLIE, _ROLE_NOISE, _ROLE_EVE, _ROLE_MEASURE = r
 #: Method 1 keeps an 8x round budget per key bit by default; retention above
 #: one third makes exhaustion a multi-sigma fluke at that multiplier.
 MAX_ROUNDS_FACTOR_METHOD1 = 8
+
+#: Most rounds played in one batch; bounds a long run's working memory.
+_MAX_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -252,35 +256,34 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
         picks = np.array([_menu_picks(base, start, role, h) for role, h in zip(roles, heads)])
         phases = np.array(config.menu)[picks].T
         parity = parity_rule(config.spec, phases)
-        # Rounds with the same menu picks have the same settings triple.
-        triple_id = np.ravel_multi_index(tuple(picks), (3, 3, 3))
     else:
         heads = streams.stream_heads(base + (_ROUND_DOMAIN,), indices, (_ROLE_ALICE, _ROLE_CHARLIE, _ROLE_MEASURE))
         phi_a, phi_c = streams.uniform_2pi(heads[0]), streams.uniform_2pi(heads[1])
         phases = np.column_stack([phi_a, bob_phases(config.spec, phi_a, phi_c, config.bob_parity_preference), phi_c])
         parity = np.full(n, config.bob_parity_preference)
-        triple_id = np.arange(n)  # continuous angles: every round its own triple
     u = streams.random(heads[-1])
 
-    outcomes = _transit_and_measure(config, base, indices, phases, triple_id, u)
+    outcomes = _transit_and_measure(config, base, indices, phases, u)
     return phases, parity != 0, outcomes, parity
 
 
-def _transit_and_measure(config: ProtocolConfig, base: tuple[int, int], indices: np.ndarray, phases, triple_id, u):
-    """The outcome triples (n, 3) of rounds ``indices``, measured at ``phases``.
+def _transit_and_measure(config: ProtocolConfig, base: tuple[int, int], indices: np.ndarray, phases, u):
+    """The outcome triples (n, 3) of rounds ``indices``, measured at ``phases`` with draws ``u``.
 
-    Transit (noise on particles a and c, then the intercept on a) is
-    ``adversary.transit_batch``, with the noise and eavesdropper draws from
-    each round's own streams; the measurement is ``core.sample_joint_batch``
-    with draws ``u``.  Rounds with equal ``triple_id`` share a settings triple.
+    Transit puts noise on particles a and c and then lets an intercept-resend
+    eavesdropper measure particle a, with the draws from each round's own
+    streams.  ``ghz.outcome_probs`` gives each round's law over its 8
+    outcomes, and ``u`` picks one by inverse CDF.
     """
-    prepared = ghz_state(config.spec).reshape(2, 2, 2)
-    eve_angles = eve_u = None
+    eve_angles = eve_x = None
     if config.eve.kind is EveKind.INTERCEPT_RESEND_A:
         guess, eve_u = _eve_draws(config, base, indices)
         eve_angles = np.array(config.menu if config.eve.fixed_angle is None else (config.eve.fixed_angle,))[guess]
-    rows, states = transit_batch(prepared, _transit_paulis(config, base, indices), config.mode, eve_angles, eve_u)
-    return sample_joint_batch(prepared, rows, states, config.mode, phases, triple_id, u)
+        eve_x = np.where(eve_u < 0.5, 1, -1)  # either outcome has probability 1/2
+    probs = outcome_probs(config.spec, phases, _transit_paulis(config, base, indices), eve_angles, eve_x)
+    # As searchsorted(cumsum(probs), u, side="right") per round.
+    ks = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1), 7)
+    return np.array(OUTCOME_TRIPLES)[ks]
 
 
 def _fixed_triple_outcomes(config: ProtocolConfig, phases, n_rounds: int, seed: int):
@@ -293,8 +296,7 @@ def _fixed_triple_outcomes(config: ProtocolConfig, phases, n_rounds: int, seed: 
     for start in range(0, n_rounds, _MAX_BATCH):
         indices = np.arange(start, min(n_rounds, start + _MAX_BATCH), dtype=np.uint64)
         u = streams.random(streams.stream_heads(base + (_ROUND_DOMAIN,), indices, (_ROLE_MEASURE,))[0])
-        n = len(indices)
-        yield _transit_and_measure(config, base, indices, np.tile(angles, (n, 1)), np.zeros(n, np.intp), u)
+        yield _transit_and_measure(config, base, indices, np.tile(angles, (len(indices), 1)), u)
 
 
 def monte_carlo_violation_rate(
@@ -337,9 +339,9 @@ def _run_session(
     if key_bits is None:
         key_bits = _draw_key_bits(config, base)
 
-    # One ``_play_rounds`` call costs about 1 ms whatever its size (stream
-    # derivation for four roles, menu picks, eigenbases, joint sampler) and
-    # each round adds under 2 us (2-vCPU x86 host, Python 3.11, numpy 2.4),
+    # One ``_play_rounds`` call costs about 0.4 ms whatever its size (stream
+    # derivation for four roles, menu picks, outcome law and pick) and
+    # each round adds about 1 us (2-vCPU x86 host, Python 3.11, numpy 2.4),
     # so a batch is sized to place every missing key bit at 4 sigma and a
     # method 1 session nearly always needs one call.  The rounds that place
     # ``wanted`` bits at the menu's exact retention r are negative binomial,

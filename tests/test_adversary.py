@@ -34,7 +34,8 @@ from ghzkd.core import (
     MeasurementSetting,
     _joint_probs,
     born_probabilities,
-    eigenbasis_for,
+    eigenbasis,
+    observable_for,
     spin_setting,
 )
 from ghzkd.ghz import GhzSpec, ghz_state, is_super_classical, solve_bob_phase, super_classical_triples
@@ -266,7 +267,7 @@ def _ref_apply_1q(state, op, qubit):
 
 
 def _ref_project_single(state, qubit, setting, outcome):
-    chi_p, chi_m = eigenbasis_for(setting)
+    chi_p, chi_m = eigenbasis(observable_for(setting))
     chi = chi_p if outcome == 1 else chi_m
     ax = qubit - 1
     amp = np.tensordot(chi.conj(), state.reshape(2, 2, 2), axes=([0], [ax]))

@@ -10,8 +10,6 @@ from ghzkd.core import (
     MeasurementSetting,
     OUTCOME_TRIPLES,
     _check_states,
-    _joint_probs,
-    apply_1q_batch,
     born_probabilities,
     eigenbases,
     eigenbasis,
@@ -19,7 +17,6 @@ from ghzkd.core import (
     expectation_of_operator,
     joint_outcome_distribution,
     make_retarded_analyzer,
-    joint_probs_batch,
     make_spin_observable,
     measure_single,
     normalize_angle,
@@ -33,7 +30,6 @@ from ghzkd.core import (
     tensor3,
     wave_retarder,
 )
-from ghzkd.adversary import PAULI_STACK
 from ghzkd.ghz import GhzSpec, ghz_state
 
 I2 = np.eye(2)
@@ -303,53 +299,6 @@ def test_batched_kernel_matches_the_scalar_engine():
         assert np.array_equal(basis, np.column_stack(_ref_eigenbasis(op)))
     with pytest.raises(ValueError, match="involutive"):
         eigenbases(np.array([ops[0], [[1.0, 1.0], [1.0, 1.0]]]))
-
-    states = np.array([_random_state(rng) for _ in range(40)])
-    for mode in Mode:
-        phases = rng.uniform(0, 2 * math.pi, (40, 3))
-        bases = eigenbases(observables(mode, phases)).reshape(40, 3, 2, 2).swapaxes(0, 1)
-        probs = joint_probs_batch(states.reshape(40, 2, 2, 2), bases)
-        for got, state, triple in zip(probs, states, phases):
-            want = _joint_probs(state, tuple(MeasurementSetting(mode, p) for p in triple))
-            assert np.max(np.abs(got - want)) <= 1e-12
-
-
-#: The einsum form of ``apply_1q_batch``: ``ops[n]`` on particle a, b or c of
-#: states shaped (n, 2, 2, 2).  numpy's einsum forms each complex product and
-#: sum one real operation at a time, whatever SIMD the CPU has.
-_ONE_QUBIT_SUBSCRIPTS = ("nij,njbc->nibc", "nij,najc->naic", "nij,nabj->nabi")
-
-
-def _ref_apply_1q_batch(ops, states, qubit):
-    return np.einsum(_ONE_QUBIT_SUBSCRIPTS[qubit - 1], ops, states)
-
-
-def _ref_joint_probs_batch(states, bases):
-    amps = states
-    for qubit, basis in enumerate(bases, start=1):
-        amps = _ref_apply_1q_batch(basis.conj().swapaxes(1, 2), amps, qubit)
-    return (np.abs(amps) ** 2).reshape(len(amps), 8)
-
-
-def test_one_qubit_kernel_equals_einsum_bit_for_bit():
-    # The operators the library applies: Pauli noise and eigenbasis adjoints
-    # in both modes.  The states are random, or one state broadcast with
-    # stride 0 over the rounds: any strided input must give einsum's bits.
-    rng = np.random.default_rng(53)
-    for n in (1, 27, 4096):
-        states = np.array([_random_state(rng) for _ in range(n)]).reshape(n, 2, 2, 2)
-        shared = np.broadcast_to(_random_state(rng).reshape(2, 2, 2), (n, 2, 2, 2))
-        bases = [eigenbases(observables(mode, rng.uniform(0, 2 * math.pi, n))) for mode in Mode]
-        operators = [PAULI_STACK[rng.integers(4, size=n)], *(b.conj().swapaxes(1, 2) for b in bases)]
-        for ops in operators:
-            for qubit in (1, 2, 3):
-                for s in (states, shared):
-                    assert np.array_equal(apply_1q_batch(ops, s, qubit), _ref_apply_1q_batch(ops, s, qubit))
-        for mode in Mode:
-            triples = eigenbases(observables(mode, rng.uniform(0, 2 * math.pi, 3 * n)))
-            per_particle = triples.reshape(n, 3, 2, 2).swapaxes(0, 1)
-            for s in (states, shared):
-                assert np.array_equal(joint_probs_batch(s, per_particle), _ref_joint_probs_batch(s, per_particle))
 
 
 def test_batched_state_check_rejects_any_bad_row():

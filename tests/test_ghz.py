@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzkd.core import Mode, MeasurementSetting, expectation, joint_outcome_distribution
+from ghzkd.core import Mode, MeasurementSetting, _joint_probs, expectation, joint_outcome_distribution, project_single, tensor3
 from ghzkd.ghz import (
     SUPER_CLASSICAL_TOL,
     GhzSpec,
@@ -20,6 +20,7 @@ from ghzkd.ghz import (
     ghz_state,
     is_super_classical,
     menu_quality,
+    outcome_probs,
     parity_rule,
     solve_bob_phase,
     super_classical_triples,
@@ -144,6 +145,37 @@ def test_born_support_lies_in_the_compatible_outcomes():
     for triple, p in dist.items():
         if p > 1e-12:
             assert triple in compatible_outcomes(parity)
+
+
+I2 = np.eye(2)
+#: I, X, Y and Z, indexed as the transit noise draws them.
+_PAULIS = (I2, np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-100.0, 100.0), min_size=4, max_size=4))
+def test_outcome_law_matches_the_state_vector_engine(angles):
+    # Every spec, mode, Pauli pair on a and c and eavesdropper outcome, at
+    # drawn angles, super-classical or not.  The reference prepares the ray,
+    # applies the Pauli on a and then on c, projects a onto Eve's outcome and
+    # takes the Born probabilities of the parties' settings.
+    *phases, eve = angles
+    paulis = np.array(list(itertools.product(range(4), repeat=2))).T
+    rows = np.tile(phases, (16, 1))
+    for spec, mode in itertools.product(GhzSpec.all_canonical(), Mode):
+        laws = {None: outcome_probs(spec, rows, paulis)}
+        laws.update((x, outcome_probs(spec, rows, paulis, np.full(16, eve), np.full(16, x))) for x in (1, -1))
+        for law in laws.values():
+            assert law.shape == (16, 8) and law.min() >= 0.0
+            assert np.max(np.abs(law.sum(axis=1) - 1.0)) <= 1e-12
+        settings_ = _settings(mode, phases)
+        for j, (pa, pc) in enumerate(paulis.T):
+            state = tensor3(I2, I2, _PAULIS[pc]) @ (tensor3(_PAULIS[pa], I2, I2) @ ghz_state(spec))
+            assert np.max(np.abs(laws[None][j] - _joint_probs(state, settings_))) <= 1e-12
+            for x in (1, -1):
+                p_x, post = project_single(state, 1, MeasurementSetting(mode, eve), x)
+                assert abs(p_x - 0.5) <= 1e-12
+                assert np.max(np.abs(laws[x][j] - _joint_probs(post, settings_))) <= 1e-12
 
 
 def test_solve_bob_phase_worked_examples():

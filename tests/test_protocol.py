@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ghzkd import protocol
 from ghzkd.adversary import EveKind, EveStrategy, NoiseModel, Verdict, apply_noise, eve_intercept_resend
-from ghzkd.core import _MAX_BATCH, Mode, MeasurementSetting, joint_outcome_distribution, sample_joint
+from ghzkd.core import Mode, MeasurementSetting, joint_outcome_distribution, sample_joint
 from ghzkd.ghz import (
     GhzSpec,
     compatible_outcomes,
@@ -25,6 +25,7 @@ from ghzkd.protocol import (
     KeyExhausted,
     Method,
     ProtocolConfig,
+    _MAX_BATCH,
     _fixed_triple_outcomes,
     _play_rounds,
     bit_of,
