@@ -339,17 +339,18 @@ def _run_session(
     if key_bits is None:
         key_bits = _draw_key_bits(config, base)
 
-    # One ``_play_rounds`` call costs about 0.4 ms whatever its size (stream
-    # derivation for four roles, menu picks, outcome law and pick) and
-    # each round adds about 1 us (2-vCPU x86 host, Python 3.11, numpy 2.4),
-    # so a batch is sized to place every missing key bit at 4 sigma and a
-    # method 1 session nearly always needs one call.  The rounds that place
-    # ``wanted`` bits at the menu's exact retention r are negative binomial,
-    # mean wanted / r and standard deviation sqrt(wanted (1 - r)) / r; the
-    # batch is the mean plus 4 standard deviations.  Method 2 (r = 1) plays
-    # exactly the key length.  The session ends right after the round that
-    # places the last bit, and a round depends on its index alone, so batch
-    # boundaries never change a session.
+    # One ``_play_rounds`` call costs about 0.2 ms whatever its size (stream
+    # derivation for four roles, menu picks, outcome law and pick) and each
+    # round adds about 0.7 us (16- and 1024-round calls in process, 2-vCPU
+    # x86 host, Python 3.11, numpy 2.4), so a batch is sized to place every
+    # missing key bit at 4 sigma and a method 1 session nearly always needs
+    # one call.  The rounds that place ``wanted`` bits at the menu's exact
+    # retention r are negative binomial, mean wanted / r and standard
+    # deviation sqrt(wanted (1 - r)) / r; the batch is the mean plus 4
+    # standard deviations.  Method 2 (r = 1) plays exactly the key length.
+    # The session ends right after the round that places the last bit, and a
+    # round depends on its index alone, so batch boundaries never change a
+    # session.
     batches = []
     placed = 0
     retention = menu_quality(config.menu, config.spec) if config.method is Method.METHOD1 else 1.0

@@ -88,6 +88,45 @@ def test_first_three_outputs_and_draw_sequences_match_numpy(seed, run, domain, i
                 assert (guess[r, j], unit[1, r, j]) == (rng.integers(3), rng.random())
 
 
+@pytest.mark.parametrize("seed", [3_000_000_007, (5 << 32) | 7, (9 << 64) | (1 << 40) | 11])
+def test_session_sized_batch_matches_numpy(seed):
+    # One seed of one, two and three entropy words; a batch of _MAX_BATCH
+    # rounds, the largest a session plays in one call.
+    indices = np.arange(4096, dtype=np.uint64)
+    out = streams.stream_outputs((seed, 1, 0), indices, ROLES, 3)
+    assert out.shape == (3, len(ROLES), 4096)
+    checked = np.concatenate([[0, 4095], np.random.default_rng(seed).choice(np.arange(1, 4095), 50, replace=False)])
+    for j in checked:
+        for r, role in enumerate(ROLES):
+            raw = _numpy((seed, 1, 0, int(indices[j]), role)).bit_generator.random_raw(3)
+            assert out[:, r, j].tolist() == raw.tolist()
+
+
+@pytest.mark.parametrize("seed", [7, (5 << 32) | 7, (9 << 64) | 11])
+def test_streams_do_not_depend_on_call_history(seed):
+    prefix = (seed, 1, 0)
+    indices = np.array([0, 1, 5, 17, 2**32 - 1, 2**32, 2**40 + 3], dtype=np.uint64)
+    full = streams.stream_outputs(prefix, indices, ROLES, 3).copy()
+    assert np.array_equal(streams.stream_heads(prefix, indices, ROLES), full[0])
+    for r, role in enumerate(ROLES):
+        assert np.array_equal(streams.stream_outputs(prefix, indices, (role,), 3)[:, 0], full[:, r])
+    for subset in ([0], [2, 4], [6, 1, 3], [5]):
+        assert np.array_equal(streams.stream_outputs(prefix, indices[subset], ROLES, 3), full[:, :, subset])
+    reverse = streams.stream_outputs(prefix, indices[::-1], ROLES[::-1], 3)
+    assert np.array_equal(reverse, full[:, ::-1, ::-1])
+    # Interleaved with calls on prefixes of one, two and three seed words.
+    for other in (3, (9 << 32) | 1, (1 << 70) | 2):
+        other_out = streams.stream_outputs((other, 2, 1), indices, ROLES, 3)
+        assert not np.array_equal(other_out, full)
+        assert np.array_equal(streams.stream_outputs(prefix, indices, ROLES, 3), full)
+    empty = streams.stream_outputs(prefix, np.array([], dtype=np.uint64), ROLES, 2)
+    assert empty.shape == (2, len(ROLES), 0)
+    # A returned array is the caller's own: writing into it changes no later call.
+    first = streams.stream_outputs(prefix, indices, ROLES, 3)
+    first[...] = 0
+    assert np.array_equal(streams.stream_outputs(prefix, indices, ROLES, 3), full)
+
+
 def test_stream_outputs_count_is_bounded():
     for count in (0, 4):
         with pytest.raises(ValueError):
@@ -138,6 +177,13 @@ def test_negative_entropy_is_rejected_like_numpy():
         np.random.SeedSequence((-1, 1, 1, 0, 0))
     with pytest.raises(ValueError):
         streams.stream_heads((-1, 1, 1), np.array([0], dtype=np.uint64), ROLES)
+    # A suffix is one entropy word.  A wider one is another stream than that
+    # of its low word, so it is refused, as is a negative one.
+    wide, low = (1, 1, 1, 3, 2**32 + 5), (1, 1, 1, 3, 5)
+    assert _numpy(wide).bit_generator.random_raw() != _numpy(low).bit_generator.random_raw()
+    for suffix in (2**32 + 5, 2**32, -1):
+        with pytest.raises(ValueError):
+            streams.stream_heads((1, 1, 1), np.array([3], dtype=np.uint64), (suffix,))
 
 
 def test_rejected_eve_guess_falls_back_to_its_real_generator(monkeypatch):
