@@ -10,16 +10,17 @@ round carries a deterministic parity of his choosing.  Either way the key
 travels through the XOR pipeline D = A xor K, E = D xor C, K = E xor B
 (complemented when the round parity is -1).
 
-Randomness discipline: every round derives independent substreams from
-(seed, run, domain, round index, role), so round results do not depend on
-execution order and identical seeds reproduce sessions bit for bit.  The
-streams are numpy's ``default_rng(SeedSequence(...))``, unchanged, but a
-round reads at most three outputs of each (angles and measurement one,
-noise up to three, the eavesdropper up to two), and ``streams`` derives
-those for a whole batch of rounds at once; ``tests/test_streams.py`` pins
-that module to numpy's SeedSequence, PCG64 and Lemire algorithms.  Only a
-bounded integer that numpy's Lemire rule rejects (odds 2**-32) sends its
-round to a real numpy generator.  A round's outcomes are drawn from the
+Randomness discipline: every draw is one 64-bit word of a counter hash,
+``_round_rng``, a pure function of (seed, run, domain, round index, role,
+draw number) in the style of SplitMix64, so round results do not depend on
+execution order or batching and identical seeds reproduce sessions bit for
+bit.  A draw's number never depends on an earlier draw's value: angle,
+menu-pick and measurement streams read draw 0, transit noise reads draws 0
+and 1 for particle a and 2 and 3 for particle c, and the eavesdropper reads
+her menu guess at draw 0 and her outcome at draw 1.  ``random()`` is a
+word's top 53 bits over 2**53, a Pauli its top two bits, a menu pick the
+word mod 3 and a key bit its top bit.  ``tests/reference.py`` recomputes
+every word in Python ints.  A round's outcomes are drawn from the
 closed-form law of its 8 outcomes, ``ghz.outcome_probs``, so no round
 builds a state vector.
 
@@ -30,12 +31,12 @@ Sessions are runs 1 and 2; the Monte-Carlo estimator,
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import streams
 from .adversary import DetectionReport, EveKind, EveStrategy, NoiseModel, detect, detection_report_to_dict
 from .core import OUTCOME_TRIPLES, Mode, normalize_angle, normalize_angles
 
@@ -61,10 +62,26 @@ class KeyExhausted(RuntimeError):
     """The round budget ran out before enough rounds were retained."""
 
 
-# Stream derivation constants: entropy = (seed, run, domain[, index, role]).
+# Stream coordinates: a word is a hash of (seed, run, domain, index, role, draw).
 _KEY_DOMAIN = 0
 _ROUND_DOMAIN = 1
 _ROLE_ALICE, _ROLE_BOB, _ROLE_CHARLIE, _ROLE_NOISE, _ROLE_EVE, _ROLE_MEASURE = range(6)
+#: Role columns of one batch's draw-0 words, and the fixed draw slots of the
+#: noise stream (a's hit and Pauli, then c's) and of the eavesdropper's (guess, outcome).
+_METHOD1_ROLES = np.array([[_ROLE_ALICE], [_ROLE_BOB], [_ROLE_CHARLIE], [_ROLE_MEASURE]], dtype=np.uint64)
+_METHOD2_ROLES = np.array([[_ROLE_ALICE], [_ROLE_CHARLIE], [_ROLE_MEASURE]], dtype=np.uint64)
+_NOISE_DRAWS = np.arange(4, dtype=np.uint64)[:, None]
+_EVE_DRAWS = np.arange(2, dtype=np.uint64)[:, None]
+#: A rejected menu pick redraws at draw number 2**32, then 2 * 2**32, and so on.
+_REDRAW = 1 << 32
+
+# SplitMix64's increment and finalizer multipliers (Steele, Lea and Flood,
+# "Fast splittable pseudorandom number generators", OOPSLA 2014), as masked
+# Python ints for the prefix and as uint64 scalars for the arrays, so numpy's
+# legacy value-based casting and NEP 50 give the same uint64 arithmetic.
+_MASK64 = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GAMMA_U64, _MIX1_U64, _MIX2_U64, _U64_MAX = (np.uint64(c) for c in (_GAMMA, _MIX1, _MIX2, _MASK64))
 
 #: Method 1 keeps an 8x round budget per key bit by default; retention above
 #: one third makes exhaustion a multi-sigma fluke at that multiplier.
@@ -102,9 +119,9 @@ class ProtocolConfig:
     def __post_init__(self):
         method = Method(self.method)
         object.__setattr__(self, "method", method)
-        if self.key_length < 1:
-            raise ConfigError(f"key_length must be positive, got {self.key_length}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.key_length) is not int or self.key_length < 1:
+            raise ConfigError(f"key_length must be a positive integer, got {self.key_length!r}")
+        if type(self.seed) is not int or self.seed < 0:  # a bool is not a seed
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.bob_parity_preference not in (1, -1):
             raise ConfigError("bob_parity_preference must be +1 or -1")
@@ -125,6 +142,8 @@ class ProtocolConfig:
         if self.max_rounds is None:
             default = self.key_length * (MAX_ROUNDS_FACTOR_METHOD1 if method is Method.METHOD1 else 1)
             object.__setattr__(self, "max_rounds", default)
+        if type(self.max_rounds) is not int:
+            raise ConfigError(f"max_rounds must be an integer, got {self.max_rounds!r}")
         if self.max_rounds < self.key_length:
             raise ConfigError("max_rounds must be at least key_length")
 
@@ -175,64 +194,91 @@ def recover_alice_bit(k: int, d: int) -> int:
 # Round physics
 
 
-def _round_rng(base: tuple[int, int], index: int, role: int) -> np.random.Generator:
-    """A round's stream as a real numpy generator, for a draw ``streams`` does not emulate."""
-    return np.random.default_rng(np.random.SeedSequence(base + (_ROUND_DOMAIN, index, role)))
+def _mix(h: int, word: int) -> int:
+    """One absorbing step of the prefix, in Python ints: the SplitMix64 finalizer of (h xor word) + gamma."""
+    z = ((h ^ word) + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
-def _menu_picks(base: tuple[int, int], start: int, role: int, heads: np.ndarray) -> np.ndarray:
-    """Each round's ``_round_rng(base, index, role).integers(3)``, from its stream head.
+def _mix_words(h, words) -> np.ndarray:
+    """``_mix`` elementwise in uint64, broadcasting ``h`` against ``words``; wraps mod 2**64."""
+    z = np.bitwise_xor(h, words, dtype=np.uint64)
+    z += _GAMMA_U64
+    z ^= z >> np.uint64(30)
+    z *= _MIX1_U64
+    z ^= z >> np.uint64(27)
+    z *= _MIX2_U64
+    z ^= z >> np.uint64(31)
+    return z
 
-    Where numpy's Lemire rule would reject the first draw (odds 2**-32) the
-    round asks its real generator instead.
+
+def _round_rng(base: tuple[int, int], domain: int, indices, roles=0, draws=0) -> np.ndarray:
+    """The 64-bit words of the streams (seed, run, domain, index, role) at draw numbers ``draws``.
+
+    ``base`` is (seed, run); ``indices``, ``roles`` and ``draws`` broadcast
+    together.  A word is a pure function of its six coordinates, a counter
+    hash: the prefix absorbs the seed's little-endian 64-bit words, their
+    count, the run and the domain, once per call in Python ints, and then
+    each stream absorbs its index, its role and the draw number elementwise.
     """
-    picks, rejected = streams.integers3(heads)
-    for j in np.flatnonzero(rejected):
-        picks[j] = _round_rng(base, start + int(j), role).integers(3)
-    return picks
+    seed, run = base
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed_words = [(seed >> shift) & _MASK64 for shift in range(0, max(seed.bit_length(), 1), 64)]
+    h = 0
+    for word in (*seed_words, len(seed_words), run, domain):
+        h = _mix(h, word)
+    z = _mix_words(np.uint64(h), np.asarray(indices, dtype=np.uint64))
+    z = _mix_words(z, np.asarray(roles, dtype=np.uint64))
+    return _mix_words(z, np.asarray(draws, dtype=np.uint64))
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """``random()`` of each word: its top 53 bits over 2**53, in [0, 1)."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _menu_picks(base: tuple[int, int], indices, roles, words: np.ndarray) -> np.ndarray:
+    """Each stream's uniform pick from a 3-angle menu, ``w % 3`` of its draw-0 word ``words``.
+
+    2**64 - 1 is divisible by 3, so the words below it pick exactly
+    uniformly.  The one word 2**64 - 1 redraws at draw 2**32 (then 2 * 2**32,
+    and so on), a number no fixed slot reaches.
+    """
+    draw = 0
+    while (rejected := words == _U64_MAX).any():
+        draw += _REDRAW
+        words = np.where(rejected, _round_rng(base, _ROUND_DOMAIN, indices, roles, draw), words)
+    return (words % np.uint64(3)).astype(np.intp)
 
 
 def _transit_paulis(config: ProtocolConfig, base: tuple[int, int], indices: np.ndarray) -> np.ndarray:
     """The Pauli (0 = I, 1 = X, 2 = Y, 3 = Z) transit noise puts on particles a and c, shape (2, n).
 
-    The draws of ``apply_noise`` on a and then c from each round's noise
-    stream: a particle is hit when ``random()`` is below p and then takes
-    ``integers(4)``.  After a hit on a, that bounded integer reads output 2's
-    low half and numpy keeps the high half for c's; c's ``random()`` is then
-    output 3.  With p = 0 nothing is drawn.
+    Each round's noise stream has fixed slots: particle a is hit when draw
+    0's ``random()`` is below p and then takes the Pauli of draw 1's top two
+    bits; particle c reads draws 2 and 3 the same way.  With p = 0 nothing
+    is drawn.
     """
-    paulis = np.zeros((2, len(indices)), dtype=np.intp)
     p = config.noise.p
     if p == 0.0:
-        return paulis
-    out = streams.stream_outputs(base + (_ROUND_DOMAIN,), indices, (_ROLE_NOISE,), 3)[:, 0]
-    low, high = streams.halves(out)
-    hit_a = streams.random(out[0]) < p
-    hit_c = np.where(hit_a, streams.random(out[2]), streams.random(out[1])) < p
-    paulis[0, hit_a] = streams.integers4(low[1, hit_a])
-    paulis[1, hit_c] = streams.integers4(np.where(hit_a, high[1], low[2])[hit_c])
-    return paulis
+        return np.zeros((2, len(indices)), dtype=np.intp)
+    words = _round_rng(base, _ROUND_DOMAIN, indices, _ROLE_NOISE, _NOISE_DRAWS)
+    return np.where(_unit(words[0::2]) < p, (words[1::2] >> np.uint64(62)).astype(np.intp), 0)
 
 
 def _eve_draws(config: ProtocolConfig, base: tuple[int, int], indices: np.ndarray):
-    """Each round's intercept angle, as an index into the menu (0 for a fixed angle), and her draw.
+    """Each round's intercept angle, as an index into the menu (0 for a fixed angle), and her outcome draw.
 
-    A guessing eavesdropper takes ``integers(3)`` (output 1's low half) and
-    then ``random()`` (output 2); a fixed-angle one takes ``random()`` alone.
-    Where Lemire's rule would reject the guess the round asks its real
-    generator for both draws.
+    A guessing eavesdropper picks from the menu at draw 0 of her stream;
+    her outcome's ``random()`` is draw 1 either way.
     """
-    prefix = base + (_ROUND_DOMAIN,)
+    words = _round_rng(base, _ROUND_DOMAIN, indices, _ROLE_EVE, _EVE_DRAWS)
     if config.eve.fixed_angle is not None:
-        head = streams.stream_heads(prefix, indices, (_ROLE_EVE,))[0]
-        return np.zeros(len(indices), dtype=np.intp), streams.random(head)
-    out = streams.stream_outputs(prefix, indices, (_ROLE_EVE,), 2)[:, 0]
-    guess, rejected = streams.integers3(out[0])
-    u = streams.random(out[1])
-    for j in np.flatnonzero(rejected):
-        rng = _round_rng(base, int(indices[j]), _ROLE_EVE)
-        guess[j], u[j] = rng.integers(3), rng.random()
-    return guess, u
+        return np.zeros(len(indices), dtype=np.intp), _unit(words[1])
+    return _menu_picks(base, indices, _ROLE_EVE, words[0]), _unit(words[1])
 
 
 def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop: int):
@@ -251,17 +297,16 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
     n = stop - start
     indices = np.arange(start, stop, dtype=np.uint64)
     if config.method is Method.METHOD1:
-        roles = (_ROLE_ALICE, _ROLE_BOB, _ROLE_CHARLIE)
-        heads = streams.stream_heads(base + (_ROUND_DOMAIN,), indices, roles + (_ROLE_MEASURE,))
-        picks = np.array([_menu_picks(base, start, role, h) for role, h in zip(roles, heads)])
+        words = _round_rng(base, _ROUND_DOMAIN, indices, _METHOD1_ROLES)
+        picks = _menu_picks(base, indices, _METHOD1_ROLES[:3], words[:3])
         phases = np.array(config.menu)[picks].T
         parity = parity_rule(config.spec, phases)
     else:
-        heads = streams.stream_heads(base + (_ROUND_DOMAIN,), indices, (_ROLE_ALICE, _ROLE_CHARLIE, _ROLE_MEASURE))
-        phi_a, phi_c = streams.uniform_2pi(heads[0]), streams.uniform_2pi(heads[1])
+        words = _round_rng(base, _ROUND_DOMAIN, indices, _METHOD2_ROLES)
+        phi_a, phi_c = 2.0 * math.pi * _unit(words[:2])
         phases = np.column_stack([phi_a, bob_phases(config.spec, phi_a, phi_c, config.bob_parity_preference), phi_c])
         parity = np.full(n, config.bob_parity_preference)
-    u = streams.random(heads[-1])
+    u = _unit(words[-1])
 
     outcomes = _transit_and_measure(config, base, indices, phases, u)
     return phases, parity != 0, outcomes, parity
@@ -295,7 +340,7 @@ def _fixed_triple_outcomes(config: ProtocolConfig, phases, n_rounds: int, seed: 
     angles = normalize_angles(phases)
     for start in range(0, n_rounds, _MAX_BATCH):
         indices = np.arange(start, min(n_rounds, start + _MAX_BATCH), dtype=np.uint64)
-        u = streams.random(streams.stream_heads(base + (_ROUND_DOMAIN,), indices, (_ROLE_MEASURE,))[0])
+        u = _unit(_round_rng(base, _ROUND_DOMAIN, indices, _ROLE_MEASURE))
         yield _transit_and_measure(config, base, indices, np.tile(angles, (len(indices), 1)), u)
 
 
@@ -329,8 +374,15 @@ def monte_carlo_violation_rate(
 
 
 def _draw_key_bits(config: ProtocolConfig, base: tuple[int, int]) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(base + (_KEY_DOMAIN,)))
-    return rng.integers(0, 2, size=config.key_length)
+    """Key bit j is the top bit of the key domain's word at index j."""
+    words = _round_rng(base, _KEY_DOMAIN, np.arange(config.key_length, dtype=np.uint64))
+    return (words >> np.uint64(63)).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=256)
+def _retention(menu: tuple[float, ...], spec: GhzSpec) -> float:
+    """``menu_quality`` of a normalized menu, computed once per (menu, spec)."""
+    return menu_quality(menu, spec)
 
 
 def _run_session(
@@ -339,9 +391,9 @@ def _run_session(
     if key_bits is None:
         key_bits = _draw_key_bits(config, base)
 
-    # One ``_play_rounds`` call costs about 0.2 ms whatever its size (stream
-    # derivation for four roles, menu picks, outcome law and pick) and each
-    # round adds about 0.7 us (16- and 1024-round calls in process, 2-vCPU
+    # One ``_play_rounds`` call costs about 0.08 ms whatever its size (the
+    # counter hash for four roles, menu picks, outcome law and pick) and each
+    # round adds about 0.2 us (16- and 1024-round calls in process, 2-vCPU
     # x86 host, Python 3.11, numpy 2.4), so a batch is sized to place every
     # missing key bit at 4 sigma and a method 1 session nearly always needs
     # one call.  The rounds that place ``wanted`` bits at the menu's exact
@@ -353,7 +405,7 @@ def _run_session(
     # session.
     batches = []
     placed = 0
-    retention = menu_quality(config.menu, config.spec) if config.method is Method.METHOD1 else 1.0
+    retention = _retention(config.menu, config.spec) if config.method is Method.METHOD1 else 1.0
     start = 0
     while placed < config.key_length and start < config.max_rounds:
         wanted = config.key_length - placed

@@ -482,10 +482,10 @@ _GOLDEN_ADVERSARIES = {
 
 #: ``ghzkd simulate --key-length 64 --reveal-secret`` per method, menu (none or
 #: 0,pi/2,pi), adversary, format and seed: exit code and the first 16 hex
-#: digits of the sha256 of stdout.  Recorded with the one-round-at-a-time
-#: engine that drew every stream from its own numpy generator; batching the
-#: rounds must not change a byte.  Exit 1 (method 1 or a guessing intercept
-#: without a menu) prints nothing.
+#: digits of the sha256 of stdout, with every draw from the counter-hash
+#: streams (``protocol._round_rng``); batching the rounds must not change a
+#: byte.  Exit 1 (method 1 or a guessing intercept without a menu) prints
+#: nothing.
 _GOLDEN = """
 1 - none json 1 1 e3b0c44298fc1c14
 1 - none json 21474836487 1 e3b0c44298fc1c14
@@ -503,96 +503,96 @@ _GOLDEN = """
 1 - fixed json 21474836487 1 e3b0c44298fc1c14
 1 - fixed csv 1 1 e3b0c44298fc1c14
 1 - fixed csv 21474836487 1 e3b0c44298fc1c14
-1 menu none json 1 0 22be6515782433c9
-1 menu none json 21474836487 0 118d6ab2315daf84
-1 menu none csv 1 0 bcec5c321375140f
-1 menu none csv 21474836487 0 355e78c81dc0065a
-1 menu noise json 1 0 221eb6be790f789e
-1 menu noise json 21474836487 0 1ed812df0712c8d0
-1 menu noise csv 1 0 e10fd4ee75735fc3
-1 menu noise csv 21474836487 0 6c373247700061db
-1 menu guess json 1 2 73a681b6118eee6b
-1 menu guess json 21474836487 0 bb615311fac31cfc
-1 menu guess csv 1 2 29ae7ff6f3ebb357
-1 menu guess csv 21474836487 0 73fa085ae1b02956
-1 menu fixed json 1 2 48c963f7a2025548
-1 menu fixed json 21474836487 2 d34c0c9a14486ad5
-1 menu fixed csv 1 2 6ccad7dc14af3e55
-1 menu fixed csv 21474836487 2 12d262161341192d
-2 - none json 1 0 1cd8585eabfb8588
-2 - none json 21474836487 0 9c648381ac597699
-2 - none csv 1 0 57fb1aa9a670fa5b
-2 - none csv 21474836487 0 de119382fba2d385
-2 - noise json 1 0 a1b4d60cbca11972
-2 - noise json 21474836487 0 ba55aa28e555258b
-2 - noise csv 1 0 ff37f9e627e8f6f4
-2 - noise csv 21474836487 0 1966c730838d2ac1
+1 menu none json 1 0 69e6af8800ffc832
+1 menu none json 21474836487 0 1a9a5001195eeb86
+1 menu none csv 1 0 c90e9ad2bcd79039
+1 menu none csv 21474836487 0 7f0682330151006a
+1 menu noise json 1 0 f04f46d88c2273a0
+1 menu noise json 21474836487 0 8e32e204f7a8e532
+1 menu noise csv 1 0 ea64d00c126aae47
+1 menu noise csv 21474836487 0 79eeb1ed318420ad
+1 menu guess json 1 2 f44ac895a4de63c9
+1 menu guess json 21474836487 2 e9eb18a75a2c7fd9
+1 menu guess csv 1 2 3018f4d0c64e3794
+1 menu guess csv 21474836487 2 6c9b6062173c9a0c
+1 menu fixed json 1 2 07f8c9f684394d10
+1 menu fixed json 21474836487 2 40c763016edc07cc
+1 menu fixed csv 1 2 683cb335f8f46d22
+1 menu fixed csv 21474836487 2 59a74712ed9904d8
+2 - none json 1 0 022a0a0c2e94d542
+2 - none json 21474836487 0 0970cdece89cf486
+2 - none csv 1 0 640ed27058475bd8
+2 - none csv 21474836487 0 a8cff9bd6b4c3188
+2 - noise json 1 0 eb25fbfdd71581e7
+2 - noise json 21474836487 0 524c2b3f78527000
+2 - noise csv 1 0 e512d7fb0ae18d1b
+2 - noise csv 21474836487 0 35072e16a4ba1449
 2 - guess json 1 1 e3b0c44298fc1c14
 2 - guess json 21474836487 1 e3b0c44298fc1c14
 2 - guess csv 1 1 e3b0c44298fc1c14
 2 - guess csv 21474836487 1 e3b0c44298fc1c14
-2 - fixed json 1 2 c87c96ae95114d8f
-2 - fixed json 21474836487 2 e0c0a296ccd9856b
-2 - fixed csv 1 2 22bb07a147f5ab22
-2 - fixed csv 21474836487 2 cc8852b79234f92d
-2 menu none json 1 0 1cd8585eabfb8588
-2 menu none json 21474836487 0 9c648381ac597699
-2 menu none csv 1 0 57fb1aa9a670fa5b
-2 menu none csv 21474836487 0 de119382fba2d385
-2 menu noise json 1 0 a1b4d60cbca11972
-2 menu noise json 21474836487 0 ba55aa28e555258b
-2 menu noise csv 1 0 ff37f9e627e8f6f4
-2 menu noise csv 21474836487 0 1966c730838d2ac1
-2 menu guess json 1 2 f11a12cc92037dd9
-2 menu guess json 21474836487 2 5a9ff619cf1e9f61
-2 menu guess csv 1 2 05397c54f20b51f5
-2 menu guess csv 21474836487 2 6e08c00cbe215bce
-2 menu fixed json 1 2 c87c96ae95114d8f
-2 menu fixed json 21474836487 2 e0c0a296ccd9856b
-2 menu fixed csv 1 2 22bb07a147f5ab22
-2 menu fixed csv 21474836487 2 cc8852b79234f92d
-3party - none json 1 0 6a8d2f6adf3bcd6a
-3party - none json 21474836487 0 52dcb691ca3e55f0
-3party - none csv 1 0 69742112db1cae95
-3party - none csv 21474836487 0 652c27d0c64d8819
-3party - noise json 1 0 b111593785055014
-3party - noise json 21474836487 0 38469394f8a712ae
-3party - noise csv 1 0 43a8190b121420cf
-3party - noise csv 21474836487 0 58226ded07bb31a9
+2 - fixed json 1 2 efcc4266a601caa6
+2 - fixed json 21474836487 2 7f2c836a8ae9f5d9
+2 - fixed csv 1 2 e55076e2acf0cd8f
+2 - fixed csv 21474836487 2 d049cb3fb3cf4fe0
+2 menu none json 1 0 022a0a0c2e94d542
+2 menu none json 21474836487 0 0970cdece89cf486
+2 menu none csv 1 0 640ed27058475bd8
+2 menu none csv 21474836487 0 a8cff9bd6b4c3188
+2 menu noise json 1 0 eb25fbfdd71581e7
+2 menu noise json 21474836487 0 524c2b3f78527000
+2 menu noise csv 1 0 e512d7fb0ae18d1b
+2 menu noise csv 21474836487 0 35072e16a4ba1449
+2 menu guess json 1 2 a9e1492305f1c46b
+2 menu guess json 21474836487 2 1c9c7c4aaf68ea36
+2 menu guess csv 1 2 2e69578d23bec303
+2 menu guess csv 21474836487 2 82ab85a6b7eb662e
+2 menu fixed json 1 2 efcc4266a601caa6
+2 menu fixed json 21474836487 2 7f2c836a8ae9f5d9
+2 menu fixed csv 1 2 e55076e2acf0cd8f
+2 menu fixed csv 21474836487 2 d049cb3fb3cf4fe0
+3party - none json 1 0 087743110cea3f82
+3party - none json 21474836487 0 45d4cd8da5de090b
+3party - none csv 1 0 0d4cfd3586a55c57
+3party - none csv 21474836487 0 63d6a1b73f4a9ba7
+3party - noise json 1 0 f7ac777a5f13a110
+3party - noise json 21474836487 0 79fee394292711fa
+3party - noise csv 1 0 9b8fe4e8d114dbdf
+3party - noise csv 21474836487 0 ba71a3fd06034e2e
 3party - guess json 1 1 e3b0c44298fc1c14
 3party - guess json 21474836487 1 e3b0c44298fc1c14
 3party - guess csv 1 1 e3b0c44298fc1c14
 3party - guess csv 21474836487 1 e3b0c44298fc1c14
-3party - fixed json 1 2 0cc39737d427c5c2
-3party - fixed json 21474836487 2 a54df03fc87b33fe
-3party - fixed csv 1 2 09812cc0f9a66d1b
-3party - fixed csv 21474836487 2 514bda3d2c7bcf51
-3party menu none json 1 0 77e1f1eeaa057f80
-3party menu none json 21474836487 0 4d97de3335337922
-3party menu none csv 1 0 b0fda64c72ed34c3
-3party menu none csv 21474836487 0 0e097f2c55347856
-3party menu noise json 1 0 da52d188afeb9727
-3party menu noise json 21474836487 0 4ababdaa502334e4
-3party menu noise csv 1 0 de79fee7c6a135b1
-3party menu noise csv 21474836487 0 6b9feea07937b07e
-3party menu guess json 1 2 6ab8f89955329178
-3party menu guess json 21474836487 2 43d0435ac6e47cac
-3party menu guess csv 1 2 8b4db31d8f1dad44
-3party menu guess csv 21474836487 2 eea9508c32351e1f
-3party menu fixed json 1 2 48dc14e4a107d402
-3party menu fixed json 21474836487 2 bb15c2c93dc658e1
-3party menu fixed csv 1 2 4cdaa0903cba1828
-3party menu fixed csv 21474836487 2 84c73e571779f666
+3party - fixed json 1 2 1008c12a18199790
+3party - fixed json 21474836487 2 7c24f3a4ee8b1bd7
+3party - fixed csv 1 2 a02a3ae949406260
+3party - fixed csv 21474836487 2 7e27ead4523a1df4
+3party menu none json 1 0 fe8204376b24b69c
+3party menu none json 21474836487 0 3697da7dfecb977f
+3party menu none csv 1 0 e645c14d0a473d47
+3party menu none csv 21474836487 0 cc46e782d40eb93d
+3party menu noise json 1 0 5c4b4982c5c25a86
+3party menu noise json 21474836487 0 117d9eaeff1f4a4c
+3party menu noise csv 1 0 27c65f255b822913
+3party menu noise csv 21474836487 0 b8f0d3c59b5a43f4
+3party menu guess json 1 2 03eb62f818287de8
+3party menu guess json 21474836487 2 d9a5f84e8e7d4358
+3party menu guess csv 1 2 0cf575c5905ab904
+3party menu guess csv 21474836487 2 0683f24d218f0956
+3party menu fixed json 1 2 f06a0da6a92f90f7
+3party menu fixed json 21474836487 2 b2de031e206a2a07
+3party menu fixed csv 1 2 6b74c597e2c09e1d
+3party menu fixed csv 21474836487 2 e354deeeec057b07
 """
 
 
 #: Full-size ``ghzkd simulate --method 2 --key-length 4096 --noise-p 0.05
 #: --reveal-secret --seed 1`` runs, noise only and with a fixed-angle
-#: intercept: extra flags, exit code and sha256 prefix, recorded with
-#: per-round numpy generators for the noise and eavesdropper streams.
+#: intercept: extra flags, exit code and sha256 prefix.  The noise and
+#: eavesdropper draws read fixed slots of each round's counter-hash streams.
 _GOLDEN_FULL_SIZE = (
-    ((), 0, "080e400da9c2ffe9"),
-    (("--eve", "intercept-a", "--eve-angle", "1.234"), 2, "10712ceaff4a8916"),
+    ((), 0, "53dc5160b8f6551e"),
+    (("--eve", "intercept-a", "--eve-angle", "1.234"), 2, "40bbda4b88bb3526"),
 )
 
 
@@ -645,86 +645,86 @@ _GOLDEN_MASKED = """
 1 - fixed json 21474836487 1 e3b0c44298fc1c14
 1 - fixed csv 1 1 e3b0c44298fc1c14
 1 - fixed csv 21474836487 1 e3b0c44298fc1c14
-1 menu none json 1 0 4233b447056edcf7
-1 menu none json 21474836487 0 3bbb1dd38259e8c9
-1 menu none csv 1 0 9df01b88a2c20af9
-1 menu none csv 21474836487 0 3570a2341d09f8a5
-1 menu noise json 1 0 1b25b98f7c57609e
-1 menu noise json 21474836487 0 187d6091d1af1fef
-1 menu noise csv 1 0 50e0108c83a4300a
-1 menu noise csv 21474836487 0 901127c38571ed88
-1 menu guess json 1 2 78a29a513f12a411
-1 menu guess json 21474836487 0 93f71809490faab7
-1 menu guess csv 1 2 d08e41c4051e4d00
-1 menu guess csv 21474836487 0 b6a5557423e33a33
-1 menu fixed json 1 2 f674aa167aba2c2e
-1 menu fixed json 21474836487 2 18cfc7cd5fe7b494
-1 menu fixed csv 1 2 2abf1363dfd1c098
-1 menu fixed csv 21474836487 2 583e43fde749fb0d
-2 - none json 1 0 92be166643eafc4a
-2 - none json 21474836487 0 fef1d8978431bcd8
-2 - none csv 1 0 cfe1ceda8bc3b811
-2 - none csv 21474836487 0 97a5a38b713f9d0a
-2 - noise json 1 0 05147272dc6110b3
-2 - noise json 21474836487 0 fb1c697aad48e595
-2 - noise csv 1 0 3ab28c83996758a9
-2 - noise csv 21474836487 0 7804ae2a7c5db3ad
+1 menu none json 1 0 8d018b5edb169153
+1 menu none json 21474836487 0 758625b166b430ed
+1 menu none csv 1 0 5e6b44981d0355e7
+1 menu none csv 21474836487 0 b8d21c7295a55a5f
+1 menu noise json 1 0 de74f547f969449f
+1 menu noise json 21474836487 0 be57000108f4457e
+1 menu noise csv 1 0 015ddb5b1d933ea1
+1 menu noise csv 21474836487 0 6d81d0ef0136fce2
+1 menu guess json 1 2 f5b2502205c6219c
+1 menu guess json 21474836487 2 c6c9877113607be2
+1 menu guess csv 1 2 6417ae5e3edff65a
+1 menu guess csv 21474836487 2 853d33a810f817b4
+1 menu fixed json 1 2 1c32d35e0dc765c2
+1 menu fixed json 21474836487 2 632d3a6199b0b51d
+1 menu fixed csv 1 2 b49bb2194794e7a4
+1 menu fixed csv 21474836487 2 ed1a4482d20248c5
+2 - none json 1 0 851c5ff42e342eab
+2 - none json 21474836487 0 7608d44797e17cc7
+2 - none csv 1 0 f0a0767b6fbc9779
+2 - none csv 21474836487 0 27cede82d8b46ef3
+2 - noise json 1 0 5bd67510da3196ed
+2 - noise json 21474836487 0 fce44bb86b34265c
+2 - noise csv 1 0 f0df61ec2f9dcf74
+2 - noise csv 21474836487 0 e0e69135eca02f43
 2 - guess json 1 1 e3b0c44298fc1c14
 2 - guess json 21474836487 1 e3b0c44298fc1c14
 2 - guess csv 1 1 e3b0c44298fc1c14
 2 - guess csv 21474836487 1 e3b0c44298fc1c14
-2 - fixed json 1 2 fd09f7707cb0cd82
-2 - fixed json 21474836487 2 3b64e75d887112f6
-2 - fixed csv 1 2 25d56ca12d3f4fd0
-2 - fixed csv 21474836487 2 7422487db54185aa
-2 menu none json 1 0 92be166643eafc4a
-2 menu none json 21474836487 0 fef1d8978431bcd8
-2 menu none csv 1 0 cfe1ceda8bc3b811
-2 menu none csv 21474836487 0 97a5a38b713f9d0a
-2 menu noise json 1 0 05147272dc6110b3
-2 menu noise json 21474836487 0 fb1c697aad48e595
-2 menu noise csv 1 0 3ab28c83996758a9
-2 menu noise csv 21474836487 0 7804ae2a7c5db3ad
-2 menu guess json 1 2 9864db7dc0f576e6
-2 menu guess json 21474836487 2 f751a321e740f6ac
-2 menu guess csv 1 2 df488e6d72925403
-2 menu guess csv 21474836487 2 8d8cd9a325316007
-2 menu fixed json 1 2 fd09f7707cb0cd82
-2 menu fixed json 21474836487 2 3b64e75d887112f6
-2 menu fixed csv 1 2 25d56ca12d3f4fd0
-2 menu fixed csv 21474836487 2 7422487db54185aa
-3party - none json 1 0 586b2367cd8d1faf
-3party - none json 21474836487 0 6769bc848e19bff6
-3party - none csv 1 0 ede2da2506ff0654
-3party - none csv 21474836487 0 8bd1d86839f20e66
-3party - noise json 1 0 5ac06689411f2314
-3party - noise json 21474836487 0 05825abcd0087faf
-3party - noise csv 1 0 eceb6f8aba000e11
-3party - noise csv 21474836487 0 77789f182fba8efd
+2 - fixed json 1 2 0c982ed0a77534d3
+2 - fixed json 21474836487 2 9e72d28f346dce52
+2 - fixed csv 1 2 a68c4b606a21b511
+2 - fixed csv 21474836487 2 fb3536c7a6870d8c
+2 menu none json 1 0 851c5ff42e342eab
+2 menu none json 21474836487 0 7608d44797e17cc7
+2 menu none csv 1 0 f0a0767b6fbc9779
+2 menu none csv 21474836487 0 27cede82d8b46ef3
+2 menu noise json 1 0 5bd67510da3196ed
+2 menu noise json 21474836487 0 fce44bb86b34265c
+2 menu noise csv 1 0 f0df61ec2f9dcf74
+2 menu noise csv 21474836487 0 e0e69135eca02f43
+2 menu guess json 1 2 00fbb10e6548b007
+2 menu guess json 21474836487 2 adf1a421a878cf03
+2 menu guess csv 1 2 acfc0f60743672a4
+2 menu guess csv 21474836487 2 41bb02238f714a9e
+2 menu fixed json 1 2 0c982ed0a77534d3
+2 menu fixed json 21474836487 2 9e72d28f346dce52
+2 menu fixed csv 1 2 a68c4b606a21b511
+2 menu fixed csv 21474836487 2 fb3536c7a6870d8c
+3party - none json 1 0 260afb23825db539
+3party - none json 21474836487 0 41f240fb6b654bc5
+3party - none csv 1 0 ba0ceeefc67334c0
+3party - none csv 21474836487 0 49bf80878aee9b77
+3party - noise json 1 0 19a667c8343782d8
+3party - noise json 21474836487 0 e37eee8d9c9f79a0
+3party - noise csv 1 0 7a4a61245eec2f83
+3party - noise csv 21474836487 0 a8de759318ec95c5
 3party - guess json 1 1 e3b0c44298fc1c14
 3party - guess json 21474836487 1 e3b0c44298fc1c14
 3party - guess csv 1 1 e3b0c44298fc1c14
 3party - guess csv 21474836487 1 e3b0c44298fc1c14
-3party - fixed json 1 2 df6babb692ed3aa7
-3party - fixed json 21474836487 2 207283f226c27dff
-3party - fixed csv 1 2 579882e798752a45
-3party - fixed csv 21474836487 2 3e4e7d8a29432378
-3party menu none json 1 0 abe32746d9a2b4a2
-3party menu none json 21474836487 0 c28d0cfa17ef4a2d
-3party menu none csv 1 0 887952b817c42fa5
-3party menu none csv 21474836487 0 b47e43a757be583e
-3party menu noise json 1 0 0a786ee917eab4be
-3party menu noise json 21474836487 0 66f3ba60577f9d1c
-3party menu noise csv 1 0 635cfee3296f06ed
-3party menu noise csv 21474836487 0 563a93de230d42d2
-3party menu guess json 1 2 adbb7288181a8621
-3party menu guess json 21474836487 2 b260519a56def4d2
-3party menu guess csv 1 2 b0a5fe3a22cfbaf2
-3party menu guess csv 21474836487 2 9080233c6f24d06b
-3party menu fixed json 1 2 3e448e0a992cd288
-3party menu fixed json 21474836487 2 959111e78b1ae2e7
-3party menu fixed csv 1 2 9663d6cbeeb9c336
-3party menu fixed csv 21474836487 2 1dfc6970296651d1
+3party - fixed json 1 2 a0e38c5ff0a52d65
+3party - fixed json 21474836487 2 55e4fd53470b96a6
+3party - fixed csv 1 2 483efbbfac79a8fa
+3party - fixed csv 21474836487 2 0ba793652895500e
+3party menu none json 1 0 ffc20c083c07019a
+3party menu none json 21474836487 0 bcdfcf527828ab65
+3party menu none csv 1 0 5aef8c0ed07fffc1
+3party menu none csv 21474836487 0 80a33539ece45a65
+3party menu noise json 1 0 6fc467bbe8eb5842
+3party menu noise json 21474836487 0 d806648400801a5e
+3party menu noise csv 1 0 323163a65a35a866
+3party menu noise csv 21474836487 0 ca42770986854a60
+3party menu guess json 1 2 6f9a2d4ff82e5c78
+3party menu guess json 21474836487 2 d2c9606b0b8faf1d
+3party menu guess csv 1 2 da69eedd491ce3f2
+3party menu guess csv 21474836487 2 c22dd7aecf8a7e7c
+3party menu fixed json 1 2 6557b2240c764664
+3party menu fixed json 21474836487 2 ac9c2551c7534f53
+3party menu fixed csv 1 2 94bef56f4842f8ab
+3party menu fixed csv 21474836487 2 c5771fab0755c8c7
 """
 
 #: ``ghzkd simulate --method 3party --key-length 37 --spec ++-,+ --mode pol
@@ -733,22 +733,22 @@ _GOLDEN_MASKED = """
 #: one, at angle 1.1 otherwise), format and reveal mode: exit code and sha256
 #: prefix of stdout.
 _GOLDEN_THREE_PARTY = """
-- none json masked 0 590acca6b1f29978
-- none json revealed 0 45fa2d6e54117886
-- none csv masked 0 436f94756c72d632
-- none csv revealed 0 89874bc543c95e0a
-- intercept json masked 2 9aa556888102528d
-- intercept json revealed 2 b66c2f7dc98cb886
-- intercept csv masked 2 620ac0a82fe65936
-- intercept csv revealed 2 59901fea14c7b759
-menu none json masked 0 e4383349eedd3006
-menu none json revealed 0 2655cba357ab4bf3
-menu none csv masked 0 72202458107cbc71
-menu none csv revealed 0 4e7e65c313fc37f6
-menu intercept json masked 2 3d5ecd6d6ed2833b
-menu intercept json revealed 2 a428aa50092cfb41
-menu intercept csv masked 2 a1e0692e74aa33b7
-menu intercept csv revealed 2 02d237da6d32af61
+- none json masked 0 a4910caca449f609
+- none json revealed 0 88413e69752643c1
+- none csv masked 0 500256164db70bdc
+- none csv revealed 0 386fe64d855e8f13
+- intercept json masked 2 ad221910321f1244
+- intercept json revealed 2 55a90c22b74e93c8
+- intercept csv masked 2 366752acdf99897d
+- intercept csv revealed 2 494bf056b8268a77
+menu none json masked 0 bac40efd81373c78
+menu none json revealed 0 55a6ad3adf26ce4f
+menu none csv masked 0 7e0fd25764f0dbc0
+menu none csv revealed 0 062d7be118089c1d
+menu intercept json masked 2 c4f9dee010956c03
+menu intercept json revealed 2 537f0c8415c8372e
+menu intercept csv masked 2 af07f47631359b5b
+menu intercept csv revealed 2 e1acb4537312e806
 """
 
 
@@ -777,38 +777,38 @@ def test_masked_and_three_party_output_bytes_are_pinned(capsys):
 #: The rows pin the exact column and the menu-summary comment lines, and the
 #: Monte-Carlo columns as drawn from the session streams of run 0.
 _GOLDEN_SWEEP = """
-eve-angle 0 - - 1 0 66c3d41bdb33d71c
-eve-angle 0 - - 21474836487 0 94f904a0deec0823
-eve-angle 0 - explicit 1 0 b1a4942c88d8eba5
-eve-angle 0 - explicit 21474836487 0 a736816c8b00237b
-eve-angle 0 menu - 1 0 0e48c4abe226e81a
-eve-angle 0 menu - 21474836487 0 d520027ad30d4b99
-eve-angle 0 menu explicit 1 0 71ea0afd641d0010
-eve-angle 0 menu explicit 21474836487 0 0848e8c2cd1a30b9
-eve-angle 0.1 - - 1 0 fbcbad463a9b084f
-eve-angle 0.1 - - 21474836487 0 1f49f0895523bf58
-eve-angle 0.1 - explicit 1 0 2bf18c825cf44083
-eve-angle 0.1 - explicit 21474836487 0 b6c213d430195a47
-eve-angle 0.1 menu - 1 0 ec1cefb6fad3b83b
-eve-angle 0.1 menu - 21474836487 0 b960e102771a11c6
-eve-angle 0.1 menu explicit 1 0 ab9f3ead1fcf489f
-eve-angle 0.1 menu explicit 21474836487 0 ff3a78bf0ddfc26b
-noise-p 0 - - 1 0 1f4cced7713fa2b2
-noise-p 0 - - 21474836487 0 81ae94b415a0011f
-noise-p 0 - explicit 1 0 61aaf607aabe35bb
-noise-p 0 - explicit 21474836487 0 4d97186fbff8f84b
-noise-p 0 menu - 1 0 a48ffb1ee4200db3
-noise-p 0 menu - 21474836487 0 f8aae3c6b1c3fcf3
-noise-p 0 menu explicit 1 0 15f73abf9b77b598
-noise-p 0 menu explicit 21474836487 0 f11a3fdc146d4100
-noise-p 0.1 - - 1 0 1f4cced7713fa2b2
-noise-p 0.1 - - 21474836487 0 81ae94b415a0011f
-noise-p 0.1 - explicit 1 0 61aaf607aabe35bb
-noise-p 0.1 - explicit 21474836487 0 4d97186fbff8f84b
-noise-p 0.1 menu - 1 0 433677bb5971aa17
-noise-p 0.1 menu - 21474836487 0 a09c12d725381b33
-noise-p 0.1 menu explicit 1 0 de10caf2340d7033
-noise-p 0.1 menu explicit 21474836487 0 090085abededde54
+eve-angle 0 - - 1 0 91db153657afc898
+eve-angle 0 - - 21474836487 0 1c1ff6fee126c03d
+eve-angle 0 - explicit 1 0 9c7cf65932253c06
+eve-angle 0 - explicit 21474836487 0 a7cebb58e2e0be42
+eve-angle 0 menu - 1 0 5d4d6a9483c69199
+eve-angle 0 menu - 21474836487 0 612177615d7a0ae2
+eve-angle 0 menu explicit 1 0 5aeeb7ab60ad080b
+eve-angle 0 menu explicit 21474836487 0 99e84b2fac69575b
+eve-angle 0.1 - - 1 0 6b859b460894a01c
+eve-angle 0.1 - - 21474836487 0 91940206446d8692
+eve-angle 0.1 - explicit 1 0 22a2fe9786f2eb4b
+eve-angle 0.1 - explicit 21474836487 0 eb54c3f07d5c537b
+eve-angle 0.1 menu - 1 0 9caeee48fdbcd2ce
+eve-angle 0.1 menu - 21474836487 0 38b31533d1631184
+eve-angle 0.1 menu explicit 1 0 8adf4aae01530baf
+eve-angle 0.1 menu explicit 21474836487 0 4ae2eac56ae0ec9d
+noise-p 0 - - 1 0 7b5a1d86bd6fbc1f
+noise-p 0 - - 21474836487 0 98a393d5c8cc8456
+noise-p 0 - explicit 1 0 28d225eddd90ddbf
+noise-p 0 - explicit 21474836487 0 335f846af94c0e72
+noise-p 0 menu - 1 0 ec0b3750e736f108
+noise-p 0 menu - 21474836487 0 b2f30393dafd5050
+noise-p 0 menu explicit 1 0 d229235f30cdcb90
+noise-p 0 menu explicit 21474836487 0 4357c8b72f10ee65
+noise-p 0.1 - - 1 0 7b5a1d86bd6fbc1f
+noise-p 0.1 - - 21474836487 0 98a393d5c8cc8456
+noise-p 0.1 - explicit 1 0 28d225eddd90ddbf
+noise-p 0.1 - explicit 21474836487 0 335f846af94c0e72
+noise-p 0.1 menu - 1 0 04ab0cd7a6c7d5a1
+noise-p 0.1 menu - 21474836487 0 3ff8d4a860e288b2
+noise-p 0.1 menu explicit 1 0 63cd737d3346bce6
+noise-p 0.1 menu explicit 21474836487 0 0dc3a5e9a09d36f9
 """
 
 

@@ -15,10 +15,10 @@ DEMOS = ROOT / "demos"
 #: calibrated thresholds.  A value that is 0 in theory prints as ``< 1e-12``
 #: rather than as round-off digits, which vary with the SIMD and BLAS build.
 _GOLDEN_STDOUT = {
-    "eavesdropper_detection.py": "3180f7e2ecbc4672",
+    "eavesdropper_detection.py": "2f6d53067a09ef76",
     "expectation_playground.py": "bde3ae1951134b5f",
-    "method1_walkthrough.py": "28760eebbdc7159e",
-    "three_party_key_sharing.py": "8bfc74a1f19d19c0",
+    "method1_walkthrough.py": "87211bef68e392b3",
+    "three_party_key_sharing.py": "d3f9f9da3b04c903",
 }
 
 

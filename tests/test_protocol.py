@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import StreamRng
 
 from ghzkd import protocol
 from ghzkd.adversary import EveKind, EveStrategy, NoiseModel, Verdict, apply_noise, eve_intercept_resend
@@ -117,6 +118,18 @@ def test_config_validation():
         _m1(key_length=0)
     with pytest.raises(ConfigError):
         _m1(seed=-1)
+    # A bool seed would write "seed": true into the header; a fractional
+    # length would run, or fail only when the rounds are drawn.
+    bad_inputs = (
+        {"seed": True},
+        {"seed": False},
+        {"key_length": 4.5},
+        {"key_length": True},
+        {"key_length": 4, "max_rounds": 10.5},
+    )
+    for bad in bad_inputs:
+        with pytest.raises(ConfigError):
+            _m1(**bad)
     with pytest.raises(ConfigError):
         _m1(max_rounds=4, key_length=8)
     with pytest.raises(ConfigError):
@@ -247,13 +260,13 @@ def test_round_physics_independent_of_execution_order():
 
 
 def _scalar_round(cfg, base, index, phases=None):
-    """Reference engine: one round at a time, each stream from its own generator.
+    """Reference engine: one round at a time, each stream read in draw order from the reference hash.
 
     With ``phases`` the round is measured at that fixed triple and draws no angles.
     """
 
-    def rng(role):
-        return np.random.default_rng(np.random.SeedSequence(base + (1, index, role)))
+    def rng(role, draw=0):
+        return StreamRng(*base, 1, index, role, draw)
 
     if phases is not None:
         phi_a, phi_b, phi_c = phases
@@ -262,19 +275,22 @@ def _scalar_round(cfg, base, index, phases=None):
         phi_a, phi_b, phi_c = (cfg.menu[rng(role).integers(3)] for role in (0, 1, 2))
         parity = is_super_classical(cfg.spec, (phi_a, phi_b, phi_c))
     else:
-        phi_a, phi_c = (rng(role).uniform(0.0, 2.0 * math.pi) for role in (0, 2))
+        phi_a, phi_c = (2.0 * math.pi * rng(role).random() for role in (0, 2))
         phi_b = solve_bob_phase(cfg.spec, phi_a, phi_c, cfg.bob_parity_preference)
         parity = cfg.bob_parity_preference
     state = ghz_state(cfg.spec)
     paulis = [0, 0]
     if cfg.noise.p > 0:
-        noise_rng = _PauliSpy(rng(3))
+        # Noise on a reads draws 0 and 1 of the noise stream, noise on c draws 2 and 3.
         for k, qubit in enumerate((1, 3)):
+            noise_rng = _PauliSpy(rng(3, 2 * k))
             state = apply_noise(state, qubit, cfg.noise, noise_rng)
-            paulis[k], noise_rng.last = noise_rng.last, 0
+            paulis[k] = noise_rng.last
     if cfg.eve.kind is EveKind.INTERCEPT_RESEND_A:
-        eve_rng = rng(4)
-        eve_angle = cfg.eve.fixed_angle if cfg.eve.fixed_angle is not None else cfg.menu[eve_rng.integers(3)]
+        # Eve guesses at draw 0 and measures with draw 1.
+        guessing = cfg.eve.fixed_angle is None
+        eve_rng = rng(4, 0 if guessing else 1)
+        eve_angle = cfg.menu[eve_rng.integers(3)] if guessing else cfg.eve.fixed_angle
         state, _ = eve_intercept_resend(state, eve_angle, eve_rng, cfg.mode)
     settings = tuple(MeasurementSetting(cfg.mode, p) for p in (phi_a, phi_b, phi_c))
     outcomes = sample_joint(state, settings, rng(5))
@@ -382,7 +398,7 @@ def test_batch_boundaries_do_not_change_a_session(monkeypatch):
         (_run, _m1(key_length=64, max_rounds=100, seed=2)),
     ]
     whole = [_session_or_error(run, cfg) for run, cfg in cases]
-    assert whole[-1] == "only 48 of 64 key bits placed in 100 rounds"
+    assert whole[-1] == "only 49 of 64 key bits placed in 100 rounds"
     monkeypatch.setattr(protocol, "_MAX_BATCH", 7)
     assert [_session_or_error(run, cfg) for run, cfg in cases] == whole
 

@@ -1,4 +1,4 @@
-"""Batched stream derivation against numpy's own SeedSequence, PCG64 and Generator."""
+"""Round streams, ``protocol._round_rng``, against the pure-Python-int reference in ``tests/reference.py``."""
 
 import math
 
@@ -6,200 +6,227 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import GAMMA, MASK64, REDRAW, StreamRng, absorb, seed_words, unfinalize, word
 
-from ghzkd import streams
-from ghzkd.adversary import EveStrategy
+from ghzkd.adversary import EveStrategy, NoiseModel
+from ghzkd.ghz import GhzSpec
 from ghzkd.protocol import (
+    _KEY_DOMAIN,
+    _METHOD1_ROLES,
+    _ROLE_ALICE,
+    _ROLE_BOB,
     _ROLE_EVE,
+    _ROLE_MEASURE,
+    _ROLE_NOISE,
     _ROUND_DOMAIN,
     Method,
     ProtocolConfig,
+    _draw_key_bits,
     _eve_draws,
     _menu_picks,
     _round_rng,
+    _transit_paulis,
+    _unit,
+    monte_carlo_violation_rate,
 )
 
 ROLES = tuple(range(6))
+SLOTS = tuple(range(4))
+MENU = (0.0, math.pi / 2, math.pi)
 
-# Seeds of one, two and three entropy words, and zero.
+# Zero, and seeds of one, two and three or more 64-bit words.
 SEEDS = st.one_of(
     st.just(0),
-    st.integers(1, 2**32 - 1),
-    st.integers(2**32, 2**64 - 1),
-    st.integers(2**64, 2**140),
+    st.integers(1, 2**64 - 1),
+    st.integers(2**64, 2**128 - 1),
+    st.integers(2**128, 2**200),
 )
 INDICES = st.lists(
-    st.one_of(st.integers(0, 2**20), st.integers(2**32 - 2, 2**32 + 2), st.integers(2**32, 2**64 - 1)),
+    st.one_of(st.integers(0, 2**20), st.integers(2**32 - 2, 2**32 + 2), st.integers(2**63, 2**64 - 1)),
     min_size=1,
     max_size=6,
 )
 
 
-def _numpy(entropy) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def _column(values, ndim=2):
+    """``values`` as a uint64 array along the first of ``ndim`` axes, to broadcast against indices."""
+    return np.array(values, dtype=np.uint64).reshape((-1,) + (1,) * (ndim - 1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=SEEDS, run=st.integers(0, 2**33), domain=st.integers(0, 3), indices=INDICES)
-def test_heads_and_draws_match_numpy(seed, run, domain, indices):
-    heads = streams.stream_heads((seed, run, domain), np.array(indices, dtype=np.uint64), ROLES)
-    assert heads.shape == (len(ROLES), len(indices))
-    picks, rejected = streams.integers3(heads)
-    unit = streams.random(heads)
-    angle = streams.uniform_2pi(heads)
+def test_words_and_draws_match_the_reference(seed, run, domain, indices):
+    idx = np.array(indices, dtype=np.uint64)
+    words = _round_rng((seed, run), domain, idx, _column(ROLES, 3), _column(SLOTS, 2))
+    assert words.shape == (len(ROLES), len(SLOTS), len(indices)) and words.dtype == np.uint64
+    unit = _unit(words)
+    paulis = words >> np.uint64(62)
     for r, role in enumerate(ROLES):
-        for j, index in enumerate(indices):
-            entropy = (seed, run, domain, index, role)
-            assert int(heads[r, j]) == int(_numpy(entropy).bit_generator.random_raw())
-            assert rejected[r, j] == (int(heads[r, j]) & 0xFFFFFFFF == 0)
-            if not rejected[r, j]:
-                assert picks[r, j] == _numpy(entropy).integers(3)
-            assert unit[r, j] == _numpy(entropy).random()
-            assert angle[r, j] == _numpy(entropy).uniform(0.0, 2.0 * math.pi)
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=SEEDS, run=st.integers(0, 2**33), domain=st.integers(0, 3), indices=INDICES)
-def test_first_three_outputs_and_draw_sequences_match_numpy(seed, run, domain, indices):
-    out = streams.stream_outputs((seed, run, domain), np.array(indices, dtype=np.uint64), ROLES, 3)
-    assert out.shape == (3, len(ROLES), len(indices))
-    low, high = streams.halves(out)
-    unit = streams.random(out)
-    guess, rejected = streams.integers3(out[0])
-    for r, role in enumerate(ROLES):
-        for j, index in enumerate(indices):
-            entropy = (seed, run, domain, index, role)
-            raw = _numpy(entropy).bit_generator
-            assert [int(x) for x in out[:, r, j]] == [int(raw.random_raw()) for _ in range(3)]
-            # Transit noise hitting particle a: random, integers(4), then c's
-            # random and integers(4); the second bounded integer reads the
-            # high half numpy kept from the first.
-            rng = _numpy(entropy)
-            expected = (rng.random(), rng.integers(4), rng.random(), rng.integers(4))
-            got = (unit[0, r, j], streams.integers4(low[1, r, j]), unit[2, r, j], streams.integers4(high[1, r, j]))
-            assert got == expected
-            # Particle a untouched: random, then c's random and integers(4).
-            rng = _numpy(entropy)
-            expected = (rng.random(), rng.random(), rng.integers(4))
-            assert (unit[0, r, j], unit[1, r, j], streams.integers4(low[2, r, j])) == expected
-            # A guessing eavesdropper: integers(3), then random.
-            if not rejected[r, j]:
-                rng = _numpy(entropy)
-                assert (guess[r, j], unit[1, r, j]) == (rng.integers(3), rng.random())
-
-
-@pytest.mark.parametrize("seed", [3_000_000_007, (5 << 32) | 7, (9 << 64) | (1 << 40) | 11])
-def test_session_sized_batch_matches_numpy(seed):
-    # One seed of one, two and three entropy words; a batch of _MAX_BATCH
-    # rounds, the largest a session plays in one call.
-    indices = np.arange(4096, dtype=np.uint64)
-    out = streams.stream_outputs((seed, 1, 0), indices, ROLES, 3)
-    assert out.shape == (3, len(ROLES), 4096)
-    checked = np.concatenate([[0, 4095], np.random.default_rng(seed).choice(np.arange(1, 4095), 50, replace=False)])
-    for j in checked:
+        for d, draw in enumerate(SLOTS):
+            for j, index in enumerate(indices):
+                coords = (seed, run, domain, index, role, draw)
+                assert int(words[r, d, j]) == word(*coords)
+                assert unit[r, d, j] == StreamRng(*coords).random()
+                assert paulis[r, d, j] == StreamRng(*coords).integers(4)
+    if domain == _ROUND_DOMAIN:
+        picks = _menu_picks((seed, run), idx, _column(ROLES), words[:, 0])
         for r, role in enumerate(ROLES):
-            raw = _numpy((seed, 1, 0, int(indices[j]), role)).bit_generator.random_raw(3)
-            assert out[:, r, j].tolist() == raw.tolist()
+            assert picks[r].tolist() == [StreamRng(seed, run, domain, i, role).integers(3) for i in indices]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=SEEDS,
+    indices=INDICES,
+    p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    guessing=st.booleans(),
+)
+def test_fixed_slots_match_the_reference_sequences(seed, indices, p, guessing):
+    base = (seed, 1)
+    idx = np.array(indices, dtype=np.uint64)
+    eve = EveStrategy.intercept_resend_a(None if guessing else 0.3)
+    config = ProtocolConfig(Method.METHOD1, menu=MENU, noise=NoiseModel.depolarizing(p), eve=eve)
+    paulis = _transit_paulis(config, base, idx)
+    guess, eve_u = _eve_draws(config, base, idx)
+    for j, index in enumerate(indices):
+        # Noise on a reads draws 0 (hit) and 1 (Pauli), noise on c draws 2 and 3.
+        for k, start in enumerate((0, 2)):
+            rng = StreamRng(seed, 1, _ROUND_DOMAIN, index, _ROLE_NOISE, start)
+            hit = p > 0.0 and rng.random() < p
+            assert paulis[k, j] == (rng.integers(4) if hit else 0)
+        # Eve guesses at draw 0 and draws her outcome at draw 1.
+        rng = StreamRng(seed, 1, _ROUND_DOMAIN, index, _ROLE_EVE, 0 if guessing else 1)
+        assert guess[j] == (rng.integers(3) if guessing else 0)
+        assert eve_u[j] == rng.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, run=st.integers(1, 2), key_length=st.integers(1, 300))
+def test_key_bits_match_the_reference(seed, run, key_length):
+    # Key bit j is the top bit of the key domain's word at index j.
+    config = ProtocolConfig(Method.METHOD2, key_length=key_length, seed=seed)
+    bits = _draw_key_bits(config, (seed, run))
+    assert bits.dtype == np.int64
+    assert bits.tolist() == [StreamRng(seed, run, _KEY_DOMAIN, j, 0).integers(2) for j in range(key_length)]
+
+
+@pytest.mark.parametrize("seed", [3_000_000_007, (5 << 64) | 7, (9 << 128) | (1 << 40) | 11])
+def test_session_sized_batch_matches_the_reference(seed):
+    # One seed of one, two and three words; a batch of _MAX_BATCH rounds,
+    # the largest a session plays in one call, on every role's draw 0.
+    indices = np.arange(4096, dtype=np.uint64)
+    words = _round_rng((seed, 1), _ROUND_DOMAIN, indices, _column(ROLES))
+    assert words.shape == (len(ROLES), 4096)
+    for r, role in enumerate(ROLES):
+        assert words[r].tolist() == [word(seed, 1, _ROUND_DOMAIN, j, role, 0) for j in range(4096)]
 
 
 @pytest.mark.parametrize("seed", [7, (5 << 32) | 7, (9 << 64) | 11])
 def test_streams_do_not_depend_on_call_history(seed):
-    prefix = (seed, 1, 0)
-    indices = np.array([0, 1, 5, 17, 2**32 - 1, 2**32, 2**40 + 3], dtype=np.uint64)
-    full = streams.stream_outputs(prefix, indices, ROLES, 3).copy()
-    assert np.array_equal(streams.stream_heads(prefix, indices, ROLES), full[0])
+    base = (seed, 1)
+    indices = np.array([0, 1, 5, 17, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+    roles, slots = _column(ROLES), _column(SLOTS, 3)
+
+    def call(base=base, indices=indices, roles=roles):
+        return _round_rng(base, _ROUND_DOMAIN, indices, roles, slots)
+
+    full = call().copy()
     for r, role in enumerate(ROLES):
-        assert np.array_equal(streams.stream_outputs(prefix, indices, (role,), 3)[:, 0], full[:, r])
+        assert np.array_equal(call(roles=role)[:, 0], full[:, r])
     for subset in ([0], [2, 4], [6, 1, 3], [5]):
-        assert np.array_equal(streams.stream_outputs(prefix, indices[subset], ROLES, 3), full[:, :, subset])
-    reverse = streams.stream_outputs(prefix, indices[::-1], ROLES[::-1], 3)
-    assert np.array_equal(reverse, full[:, ::-1, ::-1])
-    # Interleaved with calls on prefixes of one, two and three seed words.
-    for other in (3, (9 << 32) | 1, (1 << 70) | 2):
-        other_out = streams.stream_outputs((other, 2, 1), indices, ROLES, 3)
-        assert not np.array_equal(other_out, full)
-        assert np.array_equal(streams.stream_outputs(prefix, indices, ROLES, 3), full)
-    empty = streams.stream_outputs(prefix, np.array([], dtype=np.uint64), ROLES, 2)
-    assert empty.shape == (2, len(ROLES), 0)
+        assert np.array_equal(call(indices=indices[subset]), full[:, :, subset])
+    assert np.array_equal(call(indices=indices[::-1], roles=roles[::-1]), full[:, ::-1, ::-1])
+    # Interleaved with calls on seeds of one, two and three words.
+    for other in (3, (9 << 64) | 1, (1 << 130) | 2):
+        assert not np.array_equal(call(base=(other, 2)), full)
+        assert np.array_equal(call(), full)
+    assert call(indices=np.array([], dtype=np.uint64)).shape == (len(SLOTS), len(ROLES), 0)
     # A returned array is the caller's own: writing into it changes no later call.
-    first = streams.stream_outputs(prefix, indices, ROLES, 3)
+    first = call()
     first[...] = 0
-    assert np.array_equal(streams.stream_outputs(prefix, indices, ROLES, 3), full)
-
-
-def test_stream_outputs_count_is_bounded():
-    for count in (0, 4):
-        with pytest.raises(ValueError):
-            streams.stream_outputs((1, 1, 1), np.array([0], dtype=np.uint64), ROLES, count)
-
-
-def _generator_about_to_output(head_state: int) -> np.random.Generator:
-    """A PCG64 generator whose next LCG step lands on ``head_state``."""
-    bit_generator = np.random.PCG64()
-    state = bit_generator.state
-    inc = state["state"]["inc"]
-    mult = (2549297995355413924 << 64) + 4865540595714422341
-    previous = (head_state - inc) * pow(mult, -1, 1 << 128) % (1 << 128)
-    state["state"]["state"] = previous
-    state["has_uint32"], state["uinteger"] = 0, 0
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
-
-
-def test_lemire_rejection_is_flagged_where_numpy_redraws():
-    # XSL-RR with rotation 0 (top six state bits clear) outputs hi ^ lo, so
-    # this state's first output has low 32 bits 0 and high 32 bits 0xDEADBEEF.
-    hi = 0x0123456789ABCDEF
-    lo = hi ^ 0xDEADBEEF00000000
-    head_state = (hi << 64) | lo
-    head = np.array([_generator_about_to_output(head_state).bit_generator.random_raw()], dtype=np.uint64)
-    assert int(head[0]) == 0xDEADBEEF00000000
-    picks, rejected = streams.integers3(head)
-    assert rejected[0]
-    # Lemire's rule alone would say 0; numpy rejects and draws again.
-    assert picks[0] == 0
-    assert _generator_about_to_output(head_state).integers(3) == (0xDEADBEEF * 3) >> 32 == 2
-
-
-def test_rejected_round_falls_back_to_its_real_generator():
-    base = ((5 << 32) | 7, 1)
-    rejected_head = np.array([0xDEADBEEF00000000], dtype=np.uint64)
-    for role in ROLES:
-        assert _menu_picks(base, 3, role, rejected_head)[0] == _round_rng(base, 3, role).integers(3)
-    # Next to an accepted head, each round still gets its own generator's value.
-    accepted_head = streams.stream_heads(base + (_ROUND_DOMAIN,), np.array([4], dtype=np.uint64), (0,))[0]
-    picks = _menu_picks(base, 3, 0, np.concatenate([rejected_head, accepted_head]))
-    assert picks.tolist() == [_round_rng(base, 3, 0).integers(3), _round_rng(base, 4, 0).integers(3)]
+    assert np.array_equal(call(), full)
 
 
 def test_negative_entropy_is_rejected_like_numpy():
     with pytest.raises(ValueError):
         np.random.SeedSequence((-1, 1, 1, 0, 0))
     with pytest.raises(ValueError):
-        streams.stream_heads((-1, 1, 1), np.array([0], dtype=np.uint64), ROLES)
-    # A suffix is one entropy word.  A wider one is another stream than that
-    # of its low word, so it is refused, as is a negative one.
-    wide, low = (1, 1, 1, 3, 2**32 + 5), (1, 1, 1, 3, 5)
-    assert _numpy(wide).bit_generator.random_raw() != _numpy(low).bit_generator.random_raw()
-    for suffix in (2**32 + 5, 2**32, -1):
-        with pytest.raises(ValueError):
-            streams.stream_heads((1, 1, 1), np.array([3], dtype=np.uint64), (suffix,))
+        _round_rng((-1, 1), _ROUND_DOMAIN, np.array([0], dtype=np.uint64), _column(ROLES))
+    with pytest.raises(ValueError):
+        seed_words(-1)
+    with pytest.raises(ValueError):
+        monte_carlo_violation_rate(GhzSpec("+++", -1), (0.0, math.pi / 2, math.pi / 2), n_rounds=1, seed=-1)
 
 
-def test_rejected_eve_guess_falls_back_to_its_real_generator(monkeypatch):
-    config = ProtocolConfig(
-        method=Method.METHOD1, menu=(0.0, 1.0, 2.0), eve=EveStrategy.intercept_resend_a(), key_length=2
-    )
+def _index_with_word(seed, run, domain, role, draw, target):
+    """The round index whose word at (role, draw) is ``target``: every absorbing step is invertible."""
+    prefix = 0
+    words = seed_words(seed)
+    for w in (*words, len(words), run, domain):
+        prefix = absorb(prefix, w)
+    h = target
+    for w in (draw, role):
+        h = ((unfinalize(h) - GAMMA) & MASK64) ^ w
+    return ((unfinalize(h) - GAMMA) & MASK64) ^ prefix
+
+
+def test_rejected_word_redraws_the_menu_pick():
+    base = ((5 << 64) | 7, 1)
+    for role in (_ROLE_ALICE, _ROLE_BOB, 2, _ROLE_EVE):
+        rejected = _index_with_word(*base, _ROUND_DOMAIN, role, 0, MASK64)
+        indices = np.array([rejected, 3], dtype=np.uint64)
+        words = _round_rng(base, _ROUND_DOMAIN, indices, role)
+        assert int(words[0]) == MASK64 == word(*base, _ROUND_DOMAIN, rejected, role, 0)
+        picks = _menu_picks(base, indices, role, words)
+        # The rejected stream redraws at draw 2**32; the other keeps its own pick.
+        assert picks[0] == word(*base, _ROUND_DOMAIN, rejected, role, REDRAW) % 3
+        assert picks.tolist() == [StreamRng(*base, _ROUND_DOMAIN, i, role).integers(3) for i in (rejected, 3)]
+
+
+def test_rejected_pick_in_a_menu_batch_redraws_only_its_stream():
+    # A session's batch: draw-0 words of every menu role and the measurement.
+    base = ((5 << 64) | 7, 1)
+    bob = _index_with_word(*base, _ROUND_DOMAIN, _ROLE_BOB, 0, MASK64)
+    indices = np.array([4, bob], dtype=np.uint64)
+    words = _round_rng(base, _ROUND_DOMAIN, indices, _METHOD1_ROLES)
+    assert (words == MASK64).tolist() == [[False, False], [False, True], [False, False], [False, False]]
+    picks = _menu_picks(base, indices, _METHOD1_ROLES[:3], words[:3])
+    expected = [[StreamRng(*base, _ROUND_DOMAIN, i, role).integers(3) for i in (4, bob)] for role in range(3)]
+    assert picks.tolist() == expected
+    assert picks[1, 1] == word(*base, _ROUND_DOMAIN, bob, _ROLE_BOB, REDRAW) % 3
+
+
+def test_rejected_eve_guess_redraws():
+    config = ProtocolConfig(Method.METHOD1, menu=MENU, eve=EveStrategy.intercept_resend_a(), key_length=2)
     base = ((5 << 32) | 7, 1)
-    start = 2**32 + 3
-    indices = np.array([start, start + 1], dtype=np.uint64)
-    outputs = streams.stream_outputs(base + (_ROUND_DOMAIN,), indices, (_ROLE_EVE,), 2)
-    outputs[0, 0, 0] = 0xDEADBEEF00000000  # Lemire rejects the first round's guess
-    monkeypatch.setattr(streams, "stream_outputs", lambda *args: outputs)
+    rejected = _index_with_word(*base, _ROUND_DOMAIN, _ROLE_EVE, 0, MASK64)
+    indices = np.array([rejected, 2**32 + 4], dtype=np.uint64)
     guess, u = _eve_draws(config, base, indices)
-    rng = _round_rng(base, start, _ROLE_EVE)
-    assert (guess[0], u[0]) == (rng.integers(3), rng.random())
-    assert guess[0] != 0  # what Lemire's rule alone says for the crafted word
-    # The accepted round keeps its derived draws, which are its generator's.
-    rng = _round_rng(base, start + 1, _ROLE_EVE)
-    assert (guess[1], u[1]) == (rng.integers(3), rng.random())
+    for j, index in enumerate(indices.tolist()):
+        # The redraw moves the guess only: her outcome still reads draw 1.
+        rng = StreamRng(*base, _ROUND_DOMAIN, index, _ROLE_EVE)
+        assert (guess[j], u[j]) == (rng.integers(3), rng.random())
+    assert guess[0] == word(*base, _ROUND_DOMAIN, rejected, _ROLE_EVE, REDRAW) % 3
+
+
+def _assert_within_4_sigma(counts, p):
+    n = int(np.sum(counts))
+    sigma = math.sqrt(n * p * (1 - p))
+    for count in np.ravel(counts):
+        assert abs(count - n * p) <= 4 * sigma, (counts, n * p, sigma)
+
+
+def test_draws_are_uniform_at_4_sigma():
+    # One fixed batch of 2**16 rounds; each count against its binomial mean.
+    base, n = (2024, 1), 2**16
+    indices = np.arange(n, dtype=np.uint64)
+    unit = _unit(_round_rng(base, _ROUND_DOMAIN, indices, _ROLE_MEASURE))
+    _assert_within_4_sigma(np.bincount((unit * 16).astype(np.intp), minlength=16), 1 / 16)
+    words = _round_rng(base, _ROUND_DOMAIN, indices, _METHOD1_ROLES)
+    picks = _menu_picks(base, indices, _METHOD1_ROLES[:3], words[:3])
+    for row in picks:
+        _assert_within_4_sigma(np.bincount(row, minlength=3), 1 / 3)
+    _assert_within_4_sigma(np.bincount(3 * picks[0] + picks[1], minlength=9), 1 / 9)
+    config = ProtocolConfig(Method.METHOD2, noise=NoiseModel.depolarizing(1.0))
+    for row in _transit_paulis(config, base, indices):
+        _assert_within_4_sigma(np.bincount(row, minlength=4), 1 / 4)
