@@ -26,7 +26,9 @@ what ``json.dumps(..., indent=2)`` writes for the same data; the small header
 and result dicts go through ``json.dumps`` itself, re-indented to their depth.
 
 Angles are serialized as decimal radians with up to 17 significant digits,
-which round-trips IEEE doubles exactly.
+which round-trips IEEE doubles exactly.  Each angle column is formatted with
+one ``%`` operation over the whole column (``_format_angles``), which gives
+the same text as ``format_angle`` per value.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ _ANGLE_FORMAT = ".17g"
 def format_angle(x: float) -> str:
     """Decimal radians with full double precision (17 significant digits); the CLI prints rates with it too."""
     return format(float(x), _ANGLE_FORMAT)
+
+
+def _format_angles(xs: list[float]) -> list[str]:
+    """``[format_angle(x) for x in xs]`` for Python floats, with one ``%`` operation over the whole list."""
+    return (f"%{_ANGLE_FORMAT}\n" * len(xs) % tuple(xs)).split("\n")[:-1]
 
 
 @dataclass(frozen=True)
@@ -235,7 +242,7 @@ def _round_view(t: Transcript, reveal_secret: bool) -> dict[str, tuple[list | No
         if not any(shown):
             column = None
         elif name in _ANGLES:
-            column = [format(x, _ANGLE_FORMAT) for x in column]
+            column = _format_angles(column)
         view[name] = column, shown
     return view
 

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -824,7 +826,8 @@ def test_sweep_output_bytes_are_pinned(capsys):
 
 
 def test_output_file_bytes_equal_stdout_bytes(tmp_path, capsys):
-    # The pinned digests read stdout; --output must write the same chunks.
+    # The pinned digests read stdout; --output must write the same chunks,
+    # whether the file is new or holds more or fewer bytes than the output.
     menu = ["simulate", "--method", "1", "--menu", "0,pi/2,pi", "--key-length", "64", "--seed", "1"]
     full_size = ["simulate", "--method", "2", "--key-length", "4096", "--noise-p", "0.05", "--seed", "1"]
     three_party = ["simulate", "--method", "3party", "--menu", "0,pi/2,pi", "--key-length", "37", "--seed", "5"]
@@ -837,9 +840,37 @@ def test_output_file_bytes_equal_stdout_bytes(tmp_path, capsys):
     for i, argv in enumerate(cases):
         code = main(argv)
         stdout = capsys.readouterr().out.encode()
-        path = tmp_path / f"out{i}"
-        assert main([*argv, "--output", str(path)]) == code
-        assert path.read_bytes() == stdout
+        for name, earlier in (("new", None), ("longer", len(stdout) + 4097), ("shorter", len(stdout) // 2)):
+            path = tmp_path / f"out{i}-{name}"
+            if earlier is not None:
+                path.write_bytes(b"x" * earlier)
+            assert main([*argv, "--output", str(path)]) == code
+            assert path.read_bytes() == stdout
+
+    # Written through a symlink, the link stays a link to the same file,
+    # which keeps its mode.
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"x" * (len(stdout) + 4097))
+    target.chmod(0o640)
+    link.symlink_to(target)
+    before = target.stat()
+    assert main([*argv, "--output", str(link)]) == code
+    after = target.stat()
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert target.read_bytes() == stdout
+
+
+@pytest.mark.skipif(
+    not (os.path.exists(os.devnull) and stat.S_ISCHR(os.stat(os.devnull).st_mode)),
+    reason="os.devnull is not a character device",
+)
+def test_output_to_a_character_device():
+    # Only a regular file is cut to length after writing: ftruncate fails on a device.
+    simulate = ["simulate", "--method", "1", "--menu", "0,pi/2,pi", "--key-length", "64", "--seed", "1"]
+    sweep = ["sweep", "--variable", "noise-p", "--seed", "1", "--mc-rounds", "50"]
+    for argv in (simulate, sweep):
+        assert main([*argv, "--output", os.devnull]) == EXIT_CLEAN
 
 
 def test_key_exhausted_run_keeps_existing_output(tmp_path, capsys):

@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzkd.adversary import EveStrategy, NoiseModel
@@ -28,6 +28,7 @@ from ghzkd.transcript import (
     ROUND_FIELDS,
     PublicMessage,
     RoundRecord,
+    _format_angles,
     _header_dict,
     format_angle,
     transcript_to_csv,
@@ -166,6 +167,17 @@ def test_writer_bytes_equal_the_dict_encoder(session, reveal):
         assert transcript_to_json(t, reveal) == json.dumps(_reference_dict(t, reveal), indent=2) + "\n"
         assert transcript_to_dict(t, reveal) == _reference_dict(t, reveal)
         assert transcript_to_csv(t, reveal) == _reference_csv(t, reveal)
+
+
+_SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e-5, 9.999999999999999e-5, 1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@example(xs=[])
+@example(xs=list(_SPECIAL_FLOATS))
+@given(xs=st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS), st.floats(-1e-4, 1e-4))))
+def test_column_formatter_equals_format_angle(xs):
+    assert _format_angles(xs) == [format_angle(x) for x in xs]
 
 
 def _decoded_csv(text):
