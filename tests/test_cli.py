@@ -847,8 +847,8 @@ def test_output_file_bytes_equal_stdout_bytes(tmp_path, capsys):
             assert main([*argv, "--output", str(path)]) == code
             assert path.read_bytes() == stdout
 
-    # Written through a symlink, the link stays a link to the same file,
-    # which keeps its mode.
+    # The last case again, written through a symlink: the link stays a link
+    # to the same file, which keeps its mode.
     target, link = tmp_path / "target", tmp_path / "link"
     target.write_bytes(b"x" * (len(stdout) + 4097))
     target.chmod(0o640)
