@@ -49,8 +49,7 @@ print(f"matched-angle intercept: oracle rate {zero_in_theory(matched)}, against 
 print()
 print("=== What a menu session sees ===")
 rates = menu_attack_rates(SPEC, MENU, guess_from_menu=True)
-print(f"retention {rates.retention:.4f}; per-class attacked rates "
-      f"+1: {rates.by_class[1]:.4f}  -1: {rates.by_class[-1]:.4f}")
+print(f"retention {rates.retention:.4f}; attacked rate over every retained round {rates.overall:.4f}")
 
 attacked = ProtocolConfig(
     method=Method.METHOD1, menu=MENU, key_length=600, seed=5,

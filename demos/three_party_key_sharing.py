@@ -56,13 +56,12 @@ for preference in (1, -1):
         key_length=1,
         seed=1,
         bob_parity_preference=preference,
-        eve=EveStrategy.impersonate_charlie(),
     )
     info = mutual_information(impersonation_view_joint(cfg))
     print(f"  parity preference {preference:+d}: I(view ; K) {zero_in_theory(info)} bits")
 
 joint = impersonation_view_joint(
-    ProtocolConfig(method=Method.METHOD2, key_length=1, seed=1, eve=EveStrategy.impersonate_charlie()),
+    ProtocolConfig(method=Method.METHOD2, key_length=1, seed=1),
     leak_alice_bit=True,
 )
 print(f"  sanity: leaking the sender's bit would hand over {mutual_information(joint):.6f} bits")

@@ -51,7 +51,6 @@ from .transcript import Transcript
 class EveKind(enum.Enum):
     NONE = "none"
     INTERCEPT_RESEND_A = "intercept-a"
-    IMPERSONATE_CHARLIE = "impersonate-charlie"
 
 
 @dataclass(frozen=True)
@@ -78,10 +77,6 @@ class EveStrategy:
     @classmethod
     def intercept_resend_a(cls, fixed_angle: float | None = None) -> "EveStrategy":
         return cls(EveKind.INTERCEPT_RESEND_A, fixed_angle)
-
-    @classmethod
-    def impersonate_charlie(cls) -> "EveStrategy":
-        return cls(EveKind.IMPERSONATE_CHARLIE)
 
 
 @dataclass(frozen=True)
@@ -116,31 +111,31 @@ class Verdict(enum.Enum):
 
 
 class NoRetainedRounds(RuntimeError):
-    """Raised when detection has no retained rounds in the designated class."""
+    """Raised when detection or calibration has no retained round to count."""
 
 
 @dataclass
 class DetectionReport:
-    """Violation statistics for one parity class, plus both classes' counts."""
+    """Violation statistics over every retained round, plus each parity class's counts."""
 
     rounds_checked: int
     violations: int
     rate: float
     threshold: float
     verdict: Verdict
-    parity_class: int
     class_counts: dict = field(default_factory=dict)  # {+1: (checked, violations), -1: ...}
 
 
-def detection_report_to_dict(report: DetectionReport) -> dict:
+def detection_report_to_dict(report: DetectionReport, reveal_secret: bool = False) -> dict:
+    """JSON-compatible dict; class counts only when revealed (method 2's give away the parity preference)."""
+    counts = {str(k): list(v) for k, v in sorted(report.class_counts.items())}
     return {
         "rounds_checked": report.rounds_checked,
         "violations": report.violations,
         "rate": report.rate,
         "threshold": report.threshold,
         "verdict": report.verdict.value,
-        "parity_class": report.parity_class,
-        "class_counts": {str(k): list(v) for k, v in sorted(report.class_counts.items())},
+        "class_counts": counts if reveal_secret else None,
     }
 
 
@@ -193,27 +188,25 @@ def eve_intercept_resend(
 # Detection
 
 
-def detect(transcript: Transcript, threshold: float, parity_class: int = 1) -> DetectionReport:
-    """Count parity violations among retained rounds of one parity class.
+def detect(transcript: Transcript, threshold: float) -> DetectionReport:
+    """Count parity violations among all retained rounds.
 
     The statistic reconstructs the sender's measurement from the published
     bit and the sender's key (equivalently, it uses the actual outcome
     product) and compares the three-outcome product with the deterministic
-    parity.  The verdict uses only the designated class; counts for both
-    classes are reported.
+    parity.  The verdict pools both parity classes, since the violation law
+    does not depend on the class; counts per class are reported.
     """
     if not threshold >= 0.0:  # also rejects NaN, which compares false with every rate
         raise ValueError(f"threshold must be non-negative, got {threshold!r}")
-    if parity_class not in (1, -1):
-        raise ValueError(f"parity_class must be +1 or -1, got {parity_class!r}")
     # A discarded round has parity 0, so each class holds retained rounds only.
     counts = {}
     for p in (1, -1):
         in_class = transcript.parity == p
         counts[p] = (int(np.count_nonzero(in_class)), int(np.count_nonzero(in_class & transcript.violation)))
-    checked, violations = counts[parity_class]
+    checked, violations = counts[1][0] + counts[-1][0], counts[1][1] + counts[-1][1]
     if checked == 0:
-        raise NoRetainedRounds(f"no retained rounds with parity {parity_class:+d}")
+        raise NoRetainedRounds("no retained rounds")
     rate = violations / checked
     verdict = Verdict.EVE_DETECTED if rate > threshold else Verdict.CLEAN
     return DetectionReport(
@@ -222,7 +215,6 @@ def detect(transcript: Transcript, threshold: float, parity_class: int = 1) -> D
         rate=rate,
         threshold=threshold,
         verdict=verdict,
-        parity_class=parity_class,
         class_counts=counts,
     )
 
@@ -338,23 +330,23 @@ def exact_violation_rate(
 
 @dataclass
 class MenuRates:
-    """Exact menu-averaged violation rates, split by parity class."""
+    """Exact violation rate averaged over the retained menu triples."""
 
     retention: float
-    by_class: dict  # {+1: rate or None, -1: rate or None}
     overall: float | None
 
 
 def _menu_rates(retained, rates) -> MenuRates:
-    """Average per-triple rates over the retained menu triples, per parity class and overall."""
-    sums = {1: [0.0, 0], -1: [0.0, 0]}
+    """Average per-triple rates over the retained menu triples.
+
+    Each parity class's rates are summed apart and the two sums then added,
+    the order the pinned sweep comment lines were recorded with.
+    """
+    sums = {1: 0.0, -1: 0.0}
     for (_, parity), rate in zip(retained, rates):
-        sums[parity][0] += rate
-        sums[parity][1] += 1
-    by_class = {k: (s / n if n else None) for k, (s, n) in sums.items()}
-    total_n = sums[1][1] + sums[-1][1]
-    overall = (sums[1][0] + sums[-1][0]) / total_n if total_n else None
-    return MenuRates(retention=total_n / 27.0, by_class=by_class, overall=overall)
+        sums[parity] += rate
+    n = len(retained)
+    return MenuRates(retention=n / 27.0, overall=(sums[1] + sums[-1]) / n if n else None)
 
 
 def _guess_rates(spec: GhzSpec, retained, menu_angles, mode: Mode, noise_p: float):
@@ -444,21 +436,19 @@ def calibrate_threshold(config) -> float:
     noise-only rate with the eavesdropper switched off, the attacked rate
     under the configured strategy (an intercept-resend guessing from the
     menu, or averaged over announced angles, when none is configured), both
-    in the parity class a session's verdict checks (see ``ProtocolConfig``).
+    over every retained round, as a session's verdict counts them.
     ``config`` is a protocol configuration; only its plain fields are read.
     """
     spec, mode, noise_p = config.spec, config.mode, config.noise.p
     eve_angle = config.eve.fixed_angle if config.eve.kind is EveKind.INTERCEPT_RESEND_A else None
 
     if int(config.method) == 1:
-        attacked = menu_attack_rates(
+        r1 = menu_attack_rates(
             spec, config.menu, mode, eve_angle=eve_angle, guess_from_menu=eve_angle is None, noise_p=noise_p
-        ).by_class
-        parity_class = 1 if attacked[1] is not None else -1
-        r1 = attacked[parity_class]
+        ).overall
         if r1 is None:
-            raise NoRetainedRounds(f"menu retains no rounds with parity {parity_class:+d}")
-        r0 = menu_attack_rates(spec, config.menu, mode, noise_p=noise_p).by_class[parity_class]
+            raise NoRetainedRounds("menu retains no triple")
+        r0 = menu_attack_rates(spec, config.menu, mode, noise_p=noise_p).overall
     else:
         preference = config.bob_parity_preference
         # Averaged over the announced angle, a fixed Eve angle and a random

@@ -9,7 +9,8 @@ Exit codes are a stable scripting contract: 0 clean, 1 usage or
 configuration error, 2 eavesdropper detected.  Every output echoes the seed
 (auto-generated when absent), and identical flags plus seed reproduce
 identical bytes.  Secret material (keys, private bits, the prepared state,
-the parity preference) is blanked unless --reveal-secret is given.
+the parity preference, per-class detection counts) is blanked unless
+--reveal-secret is given.
 """
 
 from __future__ import annotations
@@ -183,12 +184,7 @@ def _build_config(args, seed: int) -> ProtocolConfig:
 
     if args.eve_angle is not None and args.eve != "intercept-a":
         raise ConfigError("--eve-angle applies only to --eve intercept-a")
-    if args.eve == "none":
-        eve = EveStrategy.none()
-    elif args.eve == "intercept-a":
-        eve = EveStrategy.intercept_resend_a(args.eve_angle)
-    else:
-        eve = EveStrategy.impersonate_charlie()
+    eve = EveStrategy.none() if args.eve == "none" else EveStrategy.intercept_resend_a(args.eve_angle)
     noise = NoiseModel.depolarizing(args.noise_p)
 
     method = Method.METHOD1 if args.method == "1" else Method.METHOD2
@@ -388,7 +384,7 @@ def build_parser() -> _Parser:
     p.add_argument("--key-length", type=count, default=None, dest="key_length")
     p.add_argument("--rounds", type=count, default=None, help="round budget (method 1)")
     p.add_argument("--parity-preference", type=int, choices=(1, -1), default=1, dest="parity_preference")
-    p.add_argument("--eve", choices=("none", "intercept-a", "impersonate-charlie"), default="none")
+    p.add_argument("--eve", choices=("none", "intercept-a"), default="none")
     p.add_argument("--eve-angle", type=parse_angle, default=None, dest="eve_angle")
     p.add_argument("--noise-p", type=probability, default=0.0, dest="noise_p")
     p.add_argument("--threshold", type=float, default=None)
@@ -429,8 +425,8 @@ def main(argv=None) -> int:
         _check_output(args)
         return args.func(args)
     except (ConfigError, KeyExhausted, NoRetainedRounds, ValueError, OSError) as exc:
-        # NoRetainedRounds: a menu whose triples never pin the detection
-        # class's parity.  OSError: an --output path that cannot be written.
+        # NoRetainedRounds: a menu that retains no triple.  OSError: an
+        # --output path that cannot be written.
         print(f"ghzkd: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -99,9 +99,7 @@ class ProtocolConfig:
     continuum and reads a menu only for an eavesdropper guessing from it.
     ``bob_parity_preference`` only matters for METHOD2, and ``seed`` seeds
     every stream.  ``threshold`` is the detection verdict threshold (0.0 when
-    unset, the right strictness for noiseless channels).  The verdict checks
-    the preference class for METHOD2, and for METHOD1 the +1 class, or the
-    -1 class when no retained round has parity +1.
+    unset, the right strictness for noiseless channels).
     """
 
     method: Method
@@ -458,11 +456,7 @@ def _run_session(
         violation=violation,
     )
 
-    if config.method is Method.METHOD2:
-        parity_class = config.bob_parity_preference
-    else:
-        parity_class = 1 if (parity == 1).any() else -1
-    report = detect(transcript, config.threshold if config.threshold is not None else 0.0, parity_class)
+    report = detect(transcript, config.threshold if config.threshold is not None else 0.0)
 
     result = SessionResult(
         key_sent=tuple(key.tolist()),
@@ -530,5 +524,5 @@ def session_result_to_dict(result: SessionResult, reveal_secret: bool = False) -
         "alice_bits_inferred": bits_to_str(result.alice_bits_inferred) if reveal_secret else None,
         "key_match": result.key_recovered == result.key_sent,
         "rounds_used": result.rounds_used,
-        "detection": detection_report_to_dict(result.detection),
+        "detection": detection_report_to_dict(result.detection, reveal_secret),
     }

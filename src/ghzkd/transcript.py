@@ -196,6 +196,7 @@ class Transcript:
 
 def _header_dict(t: Transcript, reveal_secret: bool) -> dict:
     return {
+        "format": 1,  # the transcript format's version; a change to the output bumps it
         "method": t.method,
         "spec": t.spec_label if reveal_secret else None,
         "spec_redacted": not reveal_secret,

@@ -182,7 +182,6 @@ def test_criterion_6_one_time_pad_security():
                 key_length=1,
                 seed=1,
                 bob_parity_preference=preference,
-                eve=EveStrategy.impersonate_charlie(),
             )
             infos.append(abs(mutual_information(impersonation_view_joint(cfg))))
     s1 = tuple(spin_setting(x) for x in SC_TRIPLE)

@@ -389,13 +389,12 @@ def test_guess_average_adds_left_to_right():
 def test_menu_attack_rates_match_per_triple_averages():
     rates = menu_attack_rates(SPEC, MENU, guess_from_menu=True)
     assert rates.retention == pytest.approx(14 / 27)
-    # class rates are plain averages of the per-triple guess averages
+    # the rate is the plain average of the per-triple guess averages
     summary = menu_attack_summary(SPEC, MENU)
     per_triple = summary["by_triple"]
     assert rates.overall == pytest.approx(sum(per_triple.values()) / len(per_triple))
     assert summary["joint_average"] == pytest.approx(rates.overall)
-    assert rates.by_class[1] == pytest.approx(3 / 14, abs=1e-12)
-    assert rates.by_class[-1] == pytest.approx(3 / 14, abs=1e-12)
+    assert rates.overall == pytest.approx(3 / 14, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -409,20 +408,25 @@ def test_detect_clean_and_thresholds():
     report = detect(transcript, threshold=0.0)
     assert report.violations == 0
     assert report.verdict is Verdict.CLEAN
-    assert report.class_counts[1][0] + report.class_counts[-1][0] == 32
+    assert report.rounds_checked == report.class_counts[1][0] + report.class_counts[-1][0] == 32
     # A NaN threshold compares false with every rate, so it would clear any session.
     for bad in (-0.1, float("nan")):
         with pytest.raises(ValueError, match="non-negative"):
             detect(transcript, threshold=bad)
-    with pytest.raises(ValueError):
-        detect(transcript, threshold=0.0, parity_class=0)
 
 
-def test_detect_requires_rounds_in_designated_class():
+def test_detect_requires_retained_rounds():
+    # A session of the -1 class alone is checked in full ...
     cfg = ProtocolConfig(method=Method.METHOD2, key_length=8, seed=1, bob_parity_preference=-1)
     _, transcript = run_method2(cfg)
+    report = detect(transcript, threshold=0.0)
+    assert (report.rounds_checked, report.class_counts) == (8, {1: (0, 0), -1: (8, 0)})
+    # ... and a transcript with no retained round leaves nothing to count.
+    discarded = dataclasses.replace(
+        transcript, retained=np.zeros(8, dtype=bool), parity=np.zeros(8, dtype=int), violation=np.zeros(8, dtype=bool)
+    )
     with pytest.raises(NoRetainedRounds):
-        detect(transcript, threshold=0.0, parity_class=1)
+        detect(discarded, threshold=0.0)
 
 
 def test_method1_session_rate_matches_menu_oracle():
@@ -435,9 +439,9 @@ def test_method1_session_rate_matches_menu_oracle():
         threshold=0.05,
     )
     result, _ = run_method1(cfg)
-    oracle = menu_attack_rates(SPEC, MENU, guess_from_menu=True).by_class[1]
+    oracle = menu_attack_rates(SPEC, MENU, guess_from_menu=True).overall
     report = result.detection
-    assert report.parity_class == 1
+    assert report.rounds_checked == 4000
     assert abs(report.rate - oracle) <= 4 * _sigma(oracle, report.rounds_checked)
     assert report.verdict is Verdict.EVE_DETECTED
 
@@ -459,13 +463,26 @@ def test_method2_session_rate_matches_continuous_oracle():
     assert report.verdict is Verdict.EVE_DETECTED
 
 
-def test_impersonation_runs_are_indistinguishable_from_honest():
-    cfg = ProtocolConfig(
-        method=Method.METHOD2, key_length=48, seed=19, eve=EveStrategy.impersonate_charlie()
-    )
-    result, transcript = run_method2(cfg)
-    assert result.key_recovered == result.key_sent
-    assert result.detection.verdict is Verdict.CLEAN
+def test_pooled_verdict_matches_its_calibration():
+    # On this menu a one-bit session's only round was once checked as the
+    # -1 class against the +1 class's threshold, 0.1164374999999999.
+    menu = (0.0, math.pi / 3, math.pi)
+    r0 = menu_attack_rates(SPEC, menu, noise_p=0.05).overall
+    r1 = menu_attack_rates(SPEC, menu, guess_from_menu=True, noise_p=0.05).overall
+    for key_length in (1, 64):
+        cfg = ProtocolConfig(
+            method=Method.METHOD1,
+            menu=menu,
+            key_length=key_length,
+            seed=2,
+            noise=NoiseModel.depolarizing(0.05),
+            eve=EveStrategy.intercept_resend_a(),
+        )
+        threshold = calibrate_threshold(cfg)
+        assert threshold == 0.5 * (r0 + r1)
+        assert threshold == pytest.approx(0.11142361111111102, abs=1e-12)
+        report = run_method1(dataclasses.replace(cfg, threshold=threshold))[0].detection
+        assert report.rounds_checked == key_length == report.class_counts[1][0] + report.class_counts[-1][0]
 
 
 # --------------------------------------------------------------------------
@@ -479,7 +496,6 @@ def _impersonation_config(method, preference=1):
         key_length=1,
         seed=1,
         bob_parity_preference=preference,
-        eve=EveStrategy.impersonate_charlie(),
     )
 
 
@@ -495,13 +511,7 @@ def test_impersonation_key_information_is_zero():
 
 
 def test_impersonation_key_information_in_polarization_mode():
-    pol = ProtocolConfig(
-        method=Method.METHOD2,
-        mode=Mode.POLARIZATION,
-        key_length=1,
-        seed=1,
-        eve=EveStrategy.impersonate_charlie(),
-    )
+    pol = ProtocolConfig(method=Method.METHOD2, mode=Mode.POLARIZATION, key_length=1, seed=1)
     assert abs(_key_information(pol)) <= 1e-12
 
 
@@ -570,18 +580,18 @@ def test_calibrate_threshold_is_the_exact_midpoint():
     noise = NoiseModel.depolarizing(p)
     m2 = ProtocolConfig(method=Method.METHOD2, key_length=8, noise=noise)
     cases = []
-    # MENU retains both parity classes, so method 1 checks the +1 class.
-    # Every triple of thirds that SPEC retains sums to 0 mod 2 pi: parity -1.
+    # MENU retains both parity classes.  Every triple of thirds that SPEC
+    # retains sums to 0 mod 2 pi: parity -1 only.
     thirds = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
-    assert menu_attack_rates(SPEC, thirds).by_class[1] is None
-    for menu, parity in ((MENU, 1), (thirds, -1)):
+    assert {parity for _, parity in super_classical_triples(thirds, SPEC)} == {-1}
+    for menu in (MENU, thirds):
         m1 = ProtocolConfig(method=Method.METHOD1, menu=menu, key_length=8, noise=noise)
         for eve in (EveStrategy.none(), EveStrategy.intercept_resend_a(), EveStrategy.intercept_resend_a(0.4)):
             cfg = dataclasses.replace(m1, eve=eve)
             angle = eve.fixed_angle
             attacked = menu_attack_rates(SPEC, menu, eve_angle=angle, guess_from_menu=angle is None, noise_p=p)
             clean = menu_attack_rates(SPEC, menu, noise_p=p)
-            cases.append((cfg, clean.by_class[parity], attacked.by_class[parity]))
+            cases.append((cfg, clean.overall, attacked.overall))
     for eve in (EveStrategy.none(), EveStrategy.intercept_resend_a(2.2)):
         for preference in (1, -1):
             cfg = dataclasses.replace(m2, eve=eve, bob_parity_preference=preference)
@@ -604,7 +614,7 @@ def test_calibrate_threshold_method1_with_menu():
         eve=EveStrategy.intercept_resend_a(),
     )
     threshold = calibrate_threshold(cfg)
-    r1 = menu_attack_rates(SPEC, MENU, guess_from_menu=True, noise_p=0.02).by_class[1]
+    r1 = menu_attack_rates(SPEC, MENU, guess_from_menu=True, noise_p=0.02).overall
     assert 0.0 < threshold < r1
 
 

@@ -74,13 +74,41 @@ def test_simulate_masks_secrets_by_default(tmp_path):
     data = json.loads(masked)
     run = data["runs"][0]
     assert run["result"]["key_sent"] is None
+    assert run["result"]["detection"]["class_counts"] is None
     assert run["transcript"]["header"]["spec"] is None
+    assert run["transcript"]["header"]["format"] == 1
     _, revealed = _run(tmp_path, *base, "--reveal-secret", name="revealed.json")
     data = json.loads(revealed)
     run = data["runs"][0]
     assert run["result"]["key_sent"] is not None
     assert run["result"]["key_recovered"] == run["result"]["key_sent"]
+    assert run["result"]["detection"]["class_counts"] == {"-1": [0, 0], "1": [6, 0]}
     assert run["transcript"]["header"]["spec"] == "+++,-"
+    assert run["transcript"]["header"]["format"] == 1
+    for view in ([], ["--reveal-secret"]):
+        _, text = _run(tmp_path, *base, *view, "--format", "csv", name="view.csv")
+        assert "\n# format=1\n# method=method2\n" in text.decode()
+
+
+def test_masked_detection_hides_the_parity_preference(tmp_path):
+    detections = []
+    for preference in ("1", "-1"):
+        argv = ["simulate", "--method", "2", "--parity-preference", preference, "--key-length", "8", "--seed", "1"]
+        _, masked = _run(tmp_path, *argv, name=f"preference{preference}.json")
+        detections.append(json.loads(masked)["runs"][0]["result"]["detection"])
+    assert detections[0] == detections[1]
+
+
+def test_method1_verdict_pools_both_parity_classes(tmp_path):
+    # Once this one-bit session checked its only round, of parity -1,
+    # against the +1 class's threshold, 0.1164374999999999.
+    argv = ["simulate", "--method", "1", "--menu", "0,pi/3,pi", "--noise-p", "0.05", "--eve", "intercept-a"]
+    argv += ["--seed", "2", "--reveal-secret"]
+    for key_length in (1, 64):
+        _, payload = _run(tmp_path, *argv, "--key-length", str(key_length), name=f"found{key_length}.json")
+        detection = json.loads(payload)["runs"][0]["result"]["detection"]
+        assert detection["threshold"] == pytest.approx(0.11142361111111102, abs=1e-12)
+        assert detection["rounds_checked"] == key_length == sum(n for n, _ in detection["class_counts"].values())
 
 
 def test_simulate_csv_format(tmp_path):
@@ -299,8 +327,8 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
     # A menu that retains no rounds leaves calibration nothing to measure; a
     # zero divisor in a pi form is no angle; an Eve angle needs the
-    # intercepting eavesdropper; a sweep's menu summary needs super-classical
-    # triples.
+    # intercepting eavesdropper, and impersonate-charlie is no strategy; a
+    # sweep's menu summary needs super-classical triples.
     for argv in (
         ["simulate", "--method", "1", "--menu", "0.1,0.2,0.3", "--noise-p", "0.1", "--seed", "1"],
         ["simulate", "--method", "3party", "--menu", "0.1,0.2,0.3", "--noise-p", "0.1", "--seed", "1"],
@@ -400,7 +428,7 @@ _FUZZ_VALUES = {
     "--rounds": _count(256),
     "--mc-rounds": _count(20),
     "--parity-preference": (st.sampled_from(["1", "-1"]), st.sampled_from(["0", "2", "x"])),
-    "--eve": (st.sampled_from(["none", "intercept-a", "impersonate-charlie"]), st.just("x")),
+    "--eve": (st.sampled_from(["none", "intercept-a"]), st.sampled_from(["x", "impersonate-charlie"])),
     "--eve-angle": (st.sampled_from(_ANGLES), st.sampled_from(_BAD_ANGLES)),
     "--noise-p": (st.sampled_from(_PROBABILITIES), _BAD_NUMBERS),
     "--threshold": (st.floats(0, 1).map(repr), st.floats(max_value=-1e-300).map(repr) | _BAD_NUMBERS),
@@ -505,86 +533,86 @@ _GOLDEN = """
 1 - fixed json 21474836487 1 e3b0c44298fc1c14
 1 - fixed csv 1 1 e3b0c44298fc1c14
 1 - fixed csv 21474836487 1 e3b0c44298fc1c14
-1 menu none json 1 0 69e6af8800ffc832
-1 menu none json 21474836487 0 1a9a5001195eeb86
-1 menu none csv 1 0 c90e9ad2bcd79039
-1 menu none csv 21474836487 0 7f0682330151006a
-1 menu noise json 1 0 f04f46d88c2273a0
-1 menu noise json 21474836487 0 8e32e204f7a8e532
-1 menu noise csv 1 0 ea64d00c126aae47
-1 menu noise csv 21474836487 0 79eeb1ed318420ad
-1 menu guess json 1 2 f44ac895a4de63c9
-1 menu guess json 21474836487 2 e9eb18a75a2c7fd9
-1 menu guess csv 1 2 3018f4d0c64e3794
-1 menu guess csv 21474836487 2 6c9b6062173c9a0c
-1 menu fixed json 1 2 07f8c9f684394d10
-1 menu fixed json 21474836487 2 40c763016edc07cc
-1 menu fixed csv 1 2 683cb335f8f46d22
-1 menu fixed csv 21474836487 2 59a74712ed9904d8
-2 - none json 1 0 022a0a0c2e94d542
-2 - none json 21474836487 0 0970cdece89cf486
-2 - none csv 1 0 640ed27058475bd8
-2 - none csv 21474836487 0 a8cff9bd6b4c3188
-2 - noise json 1 0 eb25fbfdd71581e7
-2 - noise json 21474836487 0 524c2b3f78527000
-2 - noise csv 1 0 e512d7fb0ae18d1b
-2 - noise csv 21474836487 0 35072e16a4ba1449
+1 menu none json 1 0 3d10119aa3ed8480
+1 menu none json 21474836487 0 085a4abd33a35e99
+1 menu none csv 1 0 6d89855e68cc480a
+1 menu none csv 21474836487 0 b78ee4ab5b53887a
+1 menu noise json 1 0 6840eecfa786f7be
+1 menu noise json 21474836487 0 266ccce62207e50d
+1 menu noise csv 1 0 fec8429ea3d5f043
+1 menu noise csv 21474836487 0 c1a2c02cdd2cb028
+1 menu guess json 1 2 d2b4114452545f89
+1 menu guess json 21474836487 2 c37195a0283148c2
+1 menu guess csv 1 2 506022fa14cfa66e
+1 menu guess csv 21474836487 2 fc9b68a2ac595a8f
+1 menu fixed json 1 2 a3371866360905dc
+1 menu fixed json 21474836487 2 a3508f29538999c1
+1 menu fixed csv 1 2 86b158db6c91c1ed
+1 menu fixed csv 21474836487 2 dd03abaee3810d24
+2 - none json 1 0 b260326785ddd22e
+2 - none json 21474836487 0 df89558f8db9f5b8
+2 - none csv 1 0 74ed647e86473dce
+2 - none csv 21474836487 0 7ddffa1b752adccc
+2 - noise json 1 0 bf409e120dc2dd2b
+2 - noise json 21474836487 0 09b75158c7642fc4
+2 - noise csv 1 0 2d831381e7a0eb70
+2 - noise csv 21474836487 0 b1a1de5eac57197b
 2 - guess json 1 1 e3b0c44298fc1c14
 2 - guess json 21474836487 1 e3b0c44298fc1c14
 2 - guess csv 1 1 e3b0c44298fc1c14
 2 - guess csv 21474836487 1 e3b0c44298fc1c14
-2 - fixed json 1 2 efcc4266a601caa6
-2 - fixed json 21474836487 2 7f2c836a8ae9f5d9
-2 - fixed csv 1 2 e55076e2acf0cd8f
-2 - fixed csv 21474836487 2 d049cb3fb3cf4fe0
-2 menu none json 1 0 022a0a0c2e94d542
-2 menu none json 21474836487 0 0970cdece89cf486
-2 menu none csv 1 0 640ed27058475bd8
-2 menu none csv 21474836487 0 a8cff9bd6b4c3188
-2 menu noise json 1 0 eb25fbfdd71581e7
-2 menu noise json 21474836487 0 524c2b3f78527000
-2 menu noise csv 1 0 e512d7fb0ae18d1b
-2 menu noise csv 21474836487 0 35072e16a4ba1449
-2 menu guess json 1 2 a9e1492305f1c46b
-2 menu guess json 21474836487 2 1c9c7c4aaf68ea36
-2 menu guess csv 1 2 2e69578d23bec303
-2 menu guess csv 21474836487 2 82ab85a6b7eb662e
-2 menu fixed json 1 2 efcc4266a601caa6
-2 menu fixed json 21474836487 2 7f2c836a8ae9f5d9
-2 menu fixed csv 1 2 e55076e2acf0cd8f
-2 menu fixed csv 21474836487 2 d049cb3fb3cf4fe0
-3party - none json 1 0 087743110cea3f82
-3party - none json 21474836487 0 45d4cd8da5de090b
-3party - none csv 1 0 0d4cfd3586a55c57
-3party - none csv 21474836487 0 63d6a1b73f4a9ba7
-3party - noise json 1 0 f7ac777a5f13a110
-3party - noise json 21474836487 0 79fee394292711fa
-3party - noise csv 1 0 9b8fe4e8d114dbdf
-3party - noise csv 21474836487 0 ba71a3fd06034e2e
+2 - fixed json 1 2 d0d2934da32dfee2
+2 - fixed json 21474836487 2 121d8e617f7b01c6
+2 - fixed csv 1 2 292823198c108d4c
+2 - fixed csv 21474836487 2 c93907d5fbbbd2cd
+2 menu none json 1 0 b260326785ddd22e
+2 menu none json 21474836487 0 df89558f8db9f5b8
+2 menu none csv 1 0 74ed647e86473dce
+2 menu none csv 21474836487 0 7ddffa1b752adccc
+2 menu noise json 1 0 bf409e120dc2dd2b
+2 menu noise json 21474836487 0 09b75158c7642fc4
+2 menu noise csv 1 0 2d831381e7a0eb70
+2 menu noise csv 21474836487 0 b1a1de5eac57197b
+2 menu guess json 1 2 19bdc2cde7563ee6
+2 menu guess json 21474836487 2 256de3ce06de372e
+2 menu guess csv 1 2 bf828dd957b71c46
+2 menu guess csv 21474836487 2 36788d8ba7e77767
+2 menu fixed json 1 2 d0d2934da32dfee2
+2 menu fixed json 21474836487 2 121d8e617f7b01c6
+2 menu fixed csv 1 2 292823198c108d4c
+2 menu fixed csv 21474836487 2 c93907d5fbbbd2cd
+3party - none json 1 0 28ee8927377cb283
+3party - none json 21474836487 0 14166540a1e29770
+3party - none csv 1 0 95a7be8741ac7cf4
+3party - none csv 21474836487 0 113642b23e50a37d
+3party - noise json 1 0 4048f5f77464bd7f
+3party - noise json 21474836487 0 74a3d1f0145c8121
+3party - noise csv 1 0 2cf9752623646df8
+3party - noise csv 21474836487 0 25d32d2d7cd826b3
 3party - guess json 1 1 e3b0c44298fc1c14
 3party - guess json 21474836487 1 e3b0c44298fc1c14
 3party - guess csv 1 1 e3b0c44298fc1c14
 3party - guess csv 21474836487 1 e3b0c44298fc1c14
-3party - fixed json 1 2 1008c12a18199790
-3party - fixed json 21474836487 2 7c24f3a4ee8b1bd7
-3party - fixed csv 1 2 a02a3ae949406260
-3party - fixed csv 21474836487 2 7e27ead4523a1df4
-3party menu none json 1 0 fe8204376b24b69c
-3party menu none json 21474836487 0 3697da7dfecb977f
-3party menu none csv 1 0 e645c14d0a473d47
-3party menu none csv 21474836487 0 cc46e782d40eb93d
-3party menu noise json 1 0 5c4b4982c5c25a86
-3party menu noise json 21474836487 0 117d9eaeff1f4a4c
-3party menu noise csv 1 0 27c65f255b822913
-3party menu noise csv 21474836487 0 b8f0d3c59b5a43f4
-3party menu guess json 1 2 03eb62f818287de8
-3party menu guess json 21474836487 2 d9a5f84e8e7d4358
-3party menu guess csv 1 2 0cf575c5905ab904
-3party menu guess csv 21474836487 2 0683f24d218f0956
-3party menu fixed json 1 2 f06a0da6a92f90f7
-3party menu fixed json 21474836487 2 b2de031e206a2a07
-3party menu fixed csv 1 2 6b74c597e2c09e1d
-3party menu fixed csv 21474836487 2 e354deeeec057b07
+3party - fixed json 1 2 e72058616276a535
+3party - fixed json 21474836487 2 70a01a3e8c26670e
+3party - fixed csv 1 2 f363161699a37ff8
+3party - fixed csv 21474836487 2 e1e4fccd8943f385
+3party menu none json 1 0 d127826669095f37
+3party menu none json 21474836487 0 58c286ef2f8254db
+3party menu none csv 1 0 10eb444756ef26f4
+3party menu none csv 21474836487 0 c48379932bf9239d
+3party menu noise json 1 0 ad4c8f7a85709286
+3party menu noise json 21474836487 0 ff6f1d80770bf8fc
+3party menu noise csv 1 0 a6f7cf9a96869632
+3party menu noise csv 21474836487 0 0162c0ac6715f1af
+3party menu guess json 1 2 5acc011023ed2328
+3party menu guess json 21474836487 2 132a3682d538f927
+3party menu guess csv 1 2 3929ecbfb45af9c2
+3party menu guess csv 21474836487 2 d1364aea710f86e2
+3party menu fixed json 1 2 c5cf4e99c5c48015
+3party menu fixed json 21474836487 2 1c691fab8e163bac
+3party menu fixed csv 1 2 c8eb324749b5077d
+3party menu fixed csv 21474836487 2 59392b0831b9bc0c
 """
 
 
@@ -593,8 +621,8 @@ _GOLDEN = """
 #: intercept: extra flags, exit code and sha256 prefix.  The noise and
 #: eavesdropper draws read fixed slots of each round's counter-hash streams.
 _GOLDEN_FULL_SIZE = (
-    ((), 0, "53dc5160b8f6551e"),
-    (("--eve", "intercept-a", "--eve-angle", "1.234"), 2, "40bbda4b88bb3526"),
+    ((), 0, "4bf27e03ab1a4339"),
+    (("--eve", "intercept-a", "--eve-angle", "1.234"), 2, "bef9a5284630fdee"),
 )
 
 
@@ -647,86 +675,86 @@ _GOLDEN_MASKED = """
 1 - fixed json 21474836487 1 e3b0c44298fc1c14
 1 - fixed csv 1 1 e3b0c44298fc1c14
 1 - fixed csv 21474836487 1 e3b0c44298fc1c14
-1 menu none json 1 0 8d018b5edb169153
-1 menu none json 21474836487 0 758625b166b430ed
-1 menu none csv 1 0 5e6b44981d0355e7
-1 menu none csv 21474836487 0 b8d21c7295a55a5f
-1 menu noise json 1 0 de74f547f969449f
-1 menu noise json 21474836487 0 be57000108f4457e
-1 menu noise csv 1 0 015ddb5b1d933ea1
-1 menu noise csv 21474836487 0 6d81d0ef0136fce2
-1 menu guess json 1 2 f5b2502205c6219c
-1 menu guess json 21474836487 2 c6c9877113607be2
-1 menu guess csv 1 2 6417ae5e3edff65a
-1 menu guess csv 21474836487 2 853d33a810f817b4
-1 menu fixed json 1 2 1c32d35e0dc765c2
-1 menu fixed json 21474836487 2 632d3a6199b0b51d
-1 menu fixed csv 1 2 b49bb2194794e7a4
-1 menu fixed csv 21474836487 2 ed1a4482d20248c5
-2 - none json 1 0 851c5ff42e342eab
-2 - none json 21474836487 0 7608d44797e17cc7
-2 - none csv 1 0 f0a0767b6fbc9779
-2 - none csv 21474836487 0 27cede82d8b46ef3
-2 - noise json 1 0 5bd67510da3196ed
-2 - noise json 21474836487 0 fce44bb86b34265c
-2 - noise csv 1 0 f0df61ec2f9dcf74
-2 - noise csv 21474836487 0 e0e69135eca02f43
+1 menu none json 1 0 8b0aaa9143697872
+1 menu none json 21474836487 0 6ca4d4c5c8533571
+1 menu none csv 1 0 f4e0d0e4e531a6b4
+1 menu none csv 21474836487 0 1f9b52482d2ed833
+1 menu noise json 1 0 40baa543a48a57ab
+1 menu noise json 21474836487 0 c44088a7af574fc9
+1 menu noise csv 1 0 e2118317254cecd5
+1 menu noise csv 21474836487 0 be0f3ea083918488
+1 menu guess json 1 2 d674ce1c19e857d7
+1 menu guess json 21474836487 2 20e579d0f02eb843
+1 menu guess csv 1 2 87b298cb07593d2a
+1 menu guess csv 21474836487 2 68cbb68ee3e53675
+1 menu fixed json 1 2 a1c052f6c7d02af8
+1 menu fixed json 21474836487 2 a8656450aadb09b9
+1 menu fixed csv 1 2 ef019e03bec09967
+1 menu fixed csv 21474836487 2 a30bc04af5932598
+2 - none json 1 0 27e22737dabd3435
+2 - none json 21474836487 0 241b014c04f8435c
+2 - none csv 1 0 b445d3fe8056416c
+2 - none csv 21474836487 0 adedef8d9ab7b076
+2 - noise json 1 0 a20bd2f07da55968
+2 - noise json 21474836487 0 0222748388e5301b
+2 - noise csv 1 0 55e534d54bb86866
+2 - noise csv 21474836487 0 6df7b88c60c88a2c
 2 - guess json 1 1 e3b0c44298fc1c14
 2 - guess json 21474836487 1 e3b0c44298fc1c14
 2 - guess csv 1 1 e3b0c44298fc1c14
 2 - guess csv 21474836487 1 e3b0c44298fc1c14
-2 - fixed json 1 2 0c982ed0a77534d3
-2 - fixed json 21474836487 2 9e72d28f346dce52
-2 - fixed csv 1 2 a68c4b606a21b511
-2 - fixed csv 21474836487 2 fb3536c7a6870d8c
-2 menu none json 1 0 851c5ff42e342eab
-2 menu none json 21474836487 0 7608d44797e17cc7
-2 menu none csv 1 0 f0a0767b6fbc9779
-2 menu none csv 21474836487 0 27cede82d8b46ef3
-2 menu noise json 1 0 5bd67510da3196ed
-2 menu noise json 21474836487 0 fce44bb86b34265c
-2 menu noise csv 1 0 f0df61ec2f9dcf74
-2 menu noise csv 21474836487 0 e0e69135eca02f43
-2 menu guess json 1 2 00fbb10e6548b007
-2 menu guess json 21474836487 2 adf1a421a878cf03
-2 menu guess csv 1 2 acfc0f60743672a4
-2 menu guess csv 21474836487 2 41bb02238f714a9e
-2 menu fixed json 1 2 0c982ed0a77534d3
-2 menu fixed json 21474836487 2 9e72d28f346dce52
-2 menu fixed csv 1 2 a68c4b606a21b511
-2 menu fixed csv 21474836487 2 fb3536c7a6870d8c
-3party - none json 1 0 260afb23825db539
-3party - none json 21474836487 0 41f240fb6b654bc5
-3party - none csv 1 0 ba0ceeefc67334c0
-3party - none csv 21474836487 0 49bf80878aee9b77
-3party - noise json 1 0 19a667c8343782d8
-3party - noise json 21474836487 0 e37eee8d9c9f79a0
-3party - noise csv 1 0 7a4a61245eec2f83
-3party - noise csv 21474836487 0 a8de759318ec95c5
+2 - fixed json 1 2 e86274f58822a7b6
+2 - fixed json 21474836487 2 3f291c8f7f746ef6
+2 - fixed csv 1 2 6cb737853e3efd75
+2 - fixed csv 21474836487 2 6799cc834708892e
+2 menu none json 1 0 27e22737dabd3435
+2 menu none json 21474836487 0 241b014c04f8435c
+2 menu none csv 1 0 b445d3fe8056416c
+2 menu none csv 21474836487 0 adedef8d9ab7b076
+2 menu noise json 1 0 a20bd2f07da55968
+2 menu noise json 21474836487 0 0222748388e5301b
+2 menu noise csv 1 0 55e534d54bb86866
+2 menu noise csv 21474836487 0 6df7b88c60c88a2c
+2 menu guess json 1 2 a52b2a825f99e71c
+2 menu guess json 21474836487 2 cc6815a2a627c76d
+2 menu guess csv 1 2 eb49368706aa8937
+2 menu guess csv 21474836487 2 faf55a71f3bebb91
+2 menu fixed json 1 2 e86274f58822a7b6
+2 menu fixed json 21474836487 2 3f291c8f7f746ef6
+2 menu fixed csv 1 2 6cb737853e3efd75
+2 menu fixed csv 21474836487 2 6799cc834708892e
+3party - none json 1 0 2489d4f1fd812b53
+3party - none json 21474836487 0 1d09a5490e390d44
+3party - none csv 1 0 abbc69026f8b0441
+3party - none csv 21474836487 0 8288e167ad7e3d6a
+3party - noise json 1 0 ecc867e9e6d70d44
+3party - noise json 21474836487 0 90d565170b350332
+3party - noise csv 1 0 5561b1eb095d76f1
+3party - noise csv 21474836487 0 24b676e4c2fe351e
 3party - guess json 1 1 e3b0c44298fc1c14
 3party - guess json 21474836487 1 e3b0c44298fc1c14
 3party - guess csv 1 1 e3b0c44298fc1c14
 3party - guess csv 21474836487 1 e3b0c44298fc1c14
-3party - fixed json 1 2 a0e38c5ff0a52d65
-3party - fixed json 21474836487 2 55e4fd53470b96a6
-3party - fixed csv 1 2 483efbbfac79a8fa
-3party - fixed csv 21474836487 2 0ba793652895500e
-3party menu none json 1 0 ffc20c083c07019a
-3party menu none json 21474836487 0 bcdfcf527828ab65
-3party menu none csv 1 0 5aef8c0ed07fffc1
-3party menu none csv 21474836487 0 80a33539ece45a65
-3party menu noise json 1 0 6fc467bbe8eb5842
-3party menu noise json 21474836487 0 d806648400801a5e
-3party menu noise csv 1 0 323163a65a35a866
-3party menu noise csv 21474836487 0 ca42770986854a60
-3party menu guess json 1 2 6f9a2d4ff82e5c78
-3party menu guess json 21474836487 2 d2c9606b0b8faf1d
-3party menu guess csv 1 2 da69eedd491ce3f2
-3party menu guess csv 21474836487 2 c22dd7aecf8a7e7c
-3party menu fixed json 1 2 6557b2240c764664
-3party menu fixed json 21474836487 2 ac9c2551c7534f53
-3party menu fixed csv 1 2 94bef56f4842f8ab
-3party menu fixed csv 21474836487 2 c5771fab0755c8c7
+3party - fixed json 1 2 90d983256cf24656
+3party - fixed json 21474836487 2 c0a802a8de2ad632
+3party - fixed csv 1 2 365d7cf48e03e748
+3party - fixed csv 21474836487 2 909078edbd57b2f3
+3party menu none json 1 0 d79a30949c91b4ae
+3party menu none json 21474836487 0 5f2150d1880ee2b9
+3party menu none csv 1 0 d55eb2ab960a9f70
+3party menu none csv 21474836487 0 8db5de39c8a83538
+3party menu noise json 1 0 e238a020a2ce93bc
+3party menu noise json 21474836487 0 b1e80c7b857aca65
+3party menu noise csv 1 0 2a75c9ff0acb71c7
+3party menu noise csv 21474836487 0 bcbf2e0cbf5c1df4
+3party menu guess json 1 2 07506cd48f8d2340
+3party menu guess json 21474836487 2 fb53a0ff8d2fbbd7
+3party menu guess csv 1 2 03368bbdbf824872
+3party menu guess csv 21474836487 2 085b14eb8df815f5
+3party menu fixed json 1 2 fe8d64d88e6aebe2
+3party menu fixed json 21474836487 2 b73d4775cedf7856
+3party menu fixed csv 1 2 2133b6ef9088073e
+3party menu fixed csv 21474836487 2 c0ab175e82192b39
 """
 
 #: ``ghzkd simulate --method 3party --key-length 37 --spec ++-,+ --mode pol
@@ -735,22 +763,22 @@ _GOLDEN_MASKED = """
 #: one, at angle 1.1 otherwise), format and reveal mode: exit code and sha256
 #: prefix of stdout.
 _GOLDEN_THREE_PARTY = """
-- none json masked 0 a4910caca449f609
-- none json revealed 0 88413e69752643c1
-- none csv masked 0 500256164db70bdc
-- none csv revealed 0 386fe64d855e8f13
-- intercept json masked 2 ad221910321f1244
-- intercept json revealed 2 55a90c22b74e93c8
-- intercept csv masked 2 366752acdf99897d
-- intercept csv revealed 2 494bf056b8268a77
-menu none json masked 0 bac40efd81373c78
-menu none json revealed 0 55a6ad3adf26ce4f
-menu none csv masked 0 7e0fd25764f0dbc0
-menu none csv revealed 0 062d7be118089c1d
-menu intercept json masked 2 c4f9dee010956c03
-menu intercept json revealed 2 537f0c8415c8372e
-menu intercept csv masked 2 af07f47631359b5b
-menu intercept csv revealed 2 e1acb4537312e806
+- none json masked 0 4e56a52dd523fe51
+- none json revealed 0 218a42a1c6a4f084
+- none csv masked 0 cc33a7040fa6fb9a
+- none csv revealed 0 b8495688d1df9191
+- intercept json masked 2 242d354630b3a994
+- intercept json revealed 2 9b1c5a6a1f8ccb36
+- intercept csv masked 2 df92e229d2d6350a
+- intercept csv revealed 2 bf55f1e667216d7f
+menu none json masked 0 8660866d824bbd2b
+menu none json revealed 0 78368b7be9d98d93
+menu none csv masked 0 301b06c6e42d1f37
+menu none csv revealed 0 500bf9e20ccef5c9
+menu intercept json masked 2 947db58de3bc0474
+menu intercept json revealed 2 b453142d5e71aa0c
+menu intercept csv masked 2 04a5a15e8e62ec8b
+menu intercept csv revealed 2 8a0f58e1c6b430a8
 """
 
 

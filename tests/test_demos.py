@@ -15,9 +15,9 @@ DEMOS = ROOT / "demos"
 #: calibrated thresholds.  A value that is 0 in theory prints as ``< 1e-12``
 #: rather than as round-off digits, which vary with the SIMD and BLAS build.
 _GOLDEN_STDOUT = {
-    "eavesdropper_detection.py": "2f6d53067a09ef76",
+    "eavesdropper_detection.py": "6cefc6ac7909d027",
     "expectation_playground.py": "bde3ae1951134b5f",
-    "method1_walkthrough.py": "87211bef68e392b3",
+    "method1_walkthrough.py": "232df528653aeccc",
     "three_party_key_sharing.py": "d3f9f9da3b04c903",
 }
 

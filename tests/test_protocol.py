@@ -216,8 +216,7 @@ def test_method2_uses_exactly_key_length_rounds():
         assert result.rounds_used == 48
         assert result.key_recovered == result.key_sent
         assert all(r.retained and r.parity == preference for r in transcript.rounds)
-        assert result.detection.parity_class == preference
-        assert result.detection.rounds_checked == 48
+        assert result.detection.rounds_checked == result.detection.class_counts[preference][0] == 48
         assert result.detection.violations == 0
 
 
