@@ -66,21 +66,23 @@ _PI_FORM = re.compile(r"(-?)(\d*\.?\d*)\*?pi(?:/(\d+\.?\d*))?")
 
 
 def parse_angle(text: str) -> float:
-    """Decimal radians, or simple pi fractions: 'pi', 'pi/2', '2pi/3', '-pi/4'."""
+    """Finite decimal radians, or simple pi fractions: 'pi', 'pi/2', '2pi/3', '-pi/4'."""
     s = text.strip().lower().replace(" ", "")
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
-        pass
-    m = _PI_FORM.fullmatch(s)
-    if not m:
-        raise ValueError(f"cannot parse angle {text!r}")
-    sign = -1.0 if m.group(1) else 1.0
-    coefficient = float(m.group(2)) if m.group(2) else 1.0
-    divisor = float(m.group(3)) if m.group(3) else 1.0
-    if divisor == 0.0:
-        raise ValueError(f"cannot parse angle {text!r}: zero divisor")
-    return sign * coefficient * math.pi / divisor
+        m = _PI_FORM.fullmatch(s)
+        if not m:
+            raise ValueError(f"cannot parse angle {text!r}") from None
+        sign = -1.0 if m.group(1) else 1.0
+        coefficient = float(m.group(2)) if m.group(2) else 1.0
+        divisor = float(m.group(3)) if m.group(3) else 1.0
+        if divisor == 0.0:
+            raise ValueError(f"cannot parse angle {text!r}: zero divisor") from None
+        value = sign * coefficient * math.pi / divisor
+    if not math.isfinite(value):
+        raise ValueError(f"angle must be finite, got {value}")
+    return value
 
 
 def _parse_angle_list(text: str, expected: int | None = None) -> tuple[float, ...]:

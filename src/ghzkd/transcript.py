@@ -26,9 +26,13 @@ what ``json.dumps(..., indent=2)`` writes for the same data; the small header
 and result dicts go through ``json.dumps`` itself, re-indented to their depth.
 
 Angles are serialized as decimal radians with up to 17 significant digits,
-which round-trips IEEE doubles exactly.  Each angle column is formatted with
-one ``%`` operation over the whole column (``_format_angles``), which gives
-the same text as ``format_angle`` per value.
+which round-trips IEEE doubles exactly.  ``_format_angles`` turns a float64
+angle column into the same text as ``format_angle`` per value.  Values in
+[0.1, 10), which holds every drawn angle from 0.1 up and the menu angles
+pi/2, pi and 3pi/2, go through an array kernel: Dekker's exact product gives
+the 17 significant digits as one int64, rounded half to even, and two ASCII
+tables print them 4 digits at a time.  The other values, and the ones whose
+digits after the point are all 0, go through one ``%`` operation.
 """
 
 from __future__ import annotations
@@ -76,9 +80,77 @@ def format_angle(x: float) -> str:
     return format(float(x), _ANGLE_FORMAT)
 
 
-def _format_angles(xs: list[float]) -> list[str]:
-    """``[format_angle(x) for x in xs]`` for Python floats, with one ``%`` operation over the whole list."""
-    return (f"%{_ANGLE_FORMAT}\n" * len(xs) % tuple(xs)).split("\n")[:-1]
+def _digit_groups() -> np.ndarray:
+    """The 4 ASCII digits of g as one uint32: entry g in full, entry 10000 + g with trailing zeros as NUL."""
+    g = np.arange(10_000)[:, None]
+    place = np.array([1000, 100, 10, 1])
+    digits = (ord("0") + g // place % 10).astype(np.uint8)
+    trimmed = np.where(g % (10 * place) == 0, 0, digits).astype(np.uint8)
+    return np.concatenate([digits, trimmed]).view(np.uint32).ravel()
+
+
+_GROUPS = _digit_groups()
+#: Entry d is "d." and entry 10 + d is "0.d", NUL-padded.
+_LEADS = np.frombuffer(
+    "".join([f"{d}.\0\0" for d in range(10)] + [f"0.{d}\0" for d in range(10)]).encode("ascii"), dtype=np.uint32
+)
+_NEWLINE = np.frombuffer(b"\n\0\0\0", dtype=np.uint32)[0]
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as hi + lo exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _format_angles(xs) -> list[str]:
+    """``[format_angle(x) for x in xs]`` for a float64 array or a list of floats.
+
+    An x in [0.1, 10) is printed from N, its 17 significant digits as an
+    integer: x * 10**P rounded half to even, P = 16 for x >= 1 and 17 below.
+    Dekker's product splits x * 10**P exactly into p + err, p the rounded
+    double and an even integer (it is above 2**53), so N is p plus err
+    rounded, a tie going to the even N as in ``format``.  N lies in
+    [10**16, 10**17) on the whole range: the double below 10 scales to
+    10**17 - 17.8, the one below 1 to 10**17 - 11.1.  N's leading digit and
+    four 4-digit groups index the ASCII tables.  The last nonzero group and
+    the zero groups after it take the trimmed half, so ``translate`` deletes
+    the trailing zeros with the padding.  Every other x (negative, zero,
+    tiny, large, inf or nan), and an x >= 1 whose fraction digits are all 0
+    (2.0 prints "2"), goes through one ``%`` operation.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    fast = (xs >= 0.1) & (xs < 10.0)
+    x = np.where(fast, xs, 1.0)
+    small = x < 1.0
+    scale = np.where(small, 1e17, 1e16)
+    p = x * scale
+    xh, xl = _veltkamp(x)
+    sh, sl = _veltkamp(scale)
+    err = xl * sl - (((p - xh * sh) - xl * sh) - xh * sl)
+    down = np.floor(err)
+    rest = err - down
+    down = down.astype(np.int64)
+    n = p.astype(np.int64) + down + ((rest > 0.5) | ((rest == 0.5) & (down % 2 == 1)))
+    lead, frac = np.divmod(n, 10**16)
+    fast &= (frac != 0) | small
+    rows = np.empty((len(xs), 6), dtype=np.uint32)
+    rows[:, 0] = _LEADS[lead + 10 * small]
+    hi, lo = np.divmod(frac, 10**8)
+    groups = (*np.divmod(hi, 10**4), *np.divmod(lo, 10**4))
+    trim = 10_000
+    for k in (3, 2, 1, 0):
+        rows[:, k + 1] = _GROUPS[groups[k] + trim]
+        trim = trim * (groups[k] == 0)
+    rows[:, 5] = _NEWLINE
+    texts = rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    texts.pop()
+    slow = np.flatnonzero(~fast)
+    others = xs[slow].tolist()
+    for i, text in zip(slow.tolist(), (f"%{_ANGLE_FORMAT}\n" * len(others) % tuple(others)).split("\n")):
+        texts[i] = text
+    return texts
 
 
 @dataclass(frozen=True)
@@ -219,7 +291,7 @@ def _round_view(t: Transcript, reveal_secret: bool) -> dict[str, tuple[list | No
     """
     every, kept_only = (True, True), (True, False)
     secret, secret_kept_only = (reveal_secret, reveal_secret), (reveal_secret, False)
-    phi_a, phi_b, phi_c = t.phases.T.tolist()
+    phi_a, phi_b, phi_c = t.phases.T  # float64 columns, formatted below only where shown
     outcome_a, outcome_b, outcome_c = t.outcomes.T.tolist()
     d_bit, c_bit, e_bit, b_bit = t.bits.T.tolist()
     table = (

@@ -31,6 +31,9 @@ def test_parse_angle_forms():
     assert parse_angle("0.5pi") == pytest.approx(math.pi / 2)
     with pytest.raises(ValueError):
         parse_angle("two pies")
+    for text, value in (("inf", "inf"), ("-inf", "-inf"), ("nan", "nan"), ("1e400", "inf"), ("9" * 400 + "pi", "inf")):
+        with pytest.raises(ValueError, match=f"^angle must be finite, got {value}$"):
+            parse_angle(text)
 
 
 def test_simulate_is_byte_deterministic(tmp_path):
@@ -340,6 +343,16 @@ def test_usage_errors_exit_one(capsys):
     ):
         assert main(argv) == EXIT_ERROR
         assert capsys.readouterr().err.startswith(("ghzkd: error: ", "usage: "))
+    # A non-finite angle is a usage error, not a math error downstream.
+    for argv in (
+        ["expectation", "--phases", "0,0,inf"],
+        ["expectation", "--phases", "nan,0,0"],
+        ["sweep", "--variable", "eve-angle", "--phases", "inf,0,0", "--seed", "1"],
+        ["sweep", "--variable", "eve-angle", "--values", "0,1e400", "--seed", "1"],
+        ["simulate", "--menu", "0,pi/2," + "9" * 400 + "pi", "--seed", "1"],
+    ):
+        assert main(argv) == EXIT_ERROR
+        assert "angle must be finite, got " in capsys.readouterr().err
     # An --output that cannot be written is an error, not a traceback.
     here = Path(__file__).resolve().parent
     for path in (here / "no-such-dir" / "x.json", here):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,9 @@ from ghzkd.protocol import (
     Method,
     ProtocolConfig,
     _draw_key_bits,
+    _round_rng,
     _run_session,
+    _unit,
     run_method1,
     run_method2,
     run_three_party,
@@ -169,15 +172,47 @@ def test_writer_bytes_equal_the_dict_encoder(session, reveal):
         assert transcript_to_csv(t, reveal) == _reference_csv(t, reveal)
 
 
-_SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e-5, 9.999999999999999e-5, 1e300)
+_SPECIAL_FLOATS = (
+    *(math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e-5, 9.999999999999999e-5, 1e300),
+    *(0.09999999999999999, 0.1, 1.0, 2.0, 9.999999999999998, 10.0),  # the edges of the kernel's range
+)
 
 
 @settings(max_examples=200, deadline=None)
 @example(xs=[])
 @example(xs=list(_SPECIAL_FLOATS))
-@given(xs=st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS), st.floats(-1e-4, 1e-4))))
+@given(
+    xs=st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS), st.floats(-1e-4, 1e-4), st.floats(0.1, 10)))
+)
 def test_column_formatter_equals_format_angle(xs):
-    assert _format_angles(xs) == [format_angle(x) for x in xs]
+    expected = [format_angle(x) for x in xs]
+    assert _format_angles(xs) == expected
+    assert _format_angles(np.array(xs, dtype=np.float64)) == expected
+    phases = np.zeros((len(xs), 3))
+    phases[:, 1] = xs
+    assert _format_angles(phases[:, 1]) == expected  # a strided column, as the writer passes it
+
+
+def test_angle_kernel_equals_format_angle_densely():
+    """The kernel on exact ties, on 2000 ulps either side of six anchors, on short dyadics and on drawn angles.
+
+    x = odd / 2**17 in [1, 10) and odd / 2**18 in [0.1, 1) put the digit
+    after the 17th significant one exactly halfway, so the rounding must go
+    to the even digit: 1 + 2**-17 prints 1.0000076293945312.  Every other
+    such tie is checked.  The short dyadics end in zero groups.
+    """
+    anchors = np.array([0.1, 1.0, 2.0, 4.0, 2 * math.pi, np.nextafter(10.0, 0.0)])
+    ulps = np.arange(-2000, 2001)
+    columns = [
+        np.arange(2**17 + 1, 10 * 2**17, 4) / 2**17,
+        np.arange(int(0.1 * 2**18) + 1, 2**18, 4) / 2**18,  # 26215 is odd
+        (anchors.view(np.int64)[:, None] + ulps).view(np.float64).ravel(),
+        np.arange(1, 10 * 2**10) / 2**10,
+        2.0 * math.pi * _unit(_round_rng((5, 0), 1, np.arange(2**16, dtype=np.uint64))),
+    ]
+    assert _format_angles([1 + 2**-17]) == ["1.0000076293945312"]
+    for xs in columns:
+        assert _format_angles(xs) == [format_angle(x) for x in xs.tolist()]
 
 
 def _decoded_csv(text):
