@@ -197,8 +197,8 @@ def detect(transcript: Transcript, threshold: float) -> DetectionReport:
     parity.  The verdict pools both parity classes, since the violation law
     does not depend on the class; counts per class are reported.
     """
-    if not threshold >= 0.0:  # also rejects NaN, which compares false with every rate
-        raise ValueError(f"threshold must be non-negative, got {threshold!r}")
+    if not 0.0 <= threshold < math.inf:  # also rejects NaN, which compares false with every rate
+        raise ValueError(f"threshold must be finite and non-negative, got {threshold!r}")
     # A discarded round has parity 0, so each class holds retained rounds only.
     counts = {}
     for p in (1, -1):

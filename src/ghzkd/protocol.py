@@ -22,7 +22,12 @@ word's top 53 bits over 2**53, a Pauli its top two bits, a menu pick the
 word mod 3 and a key bit its top bit.  ``tests/reference.py`` recomputes
 every word in Python ints.  A round's outcomes are drawn from the
 closed-form law of its 8 outcomes, ``ghz.outcome_probs``, so no round
-builds a state vector.
+builds a state vector.  A method 1 round has one of 27 menu triples and one
+of 16 transit Pauli pairs, so its angles, parity and, without an
+eavesdropper, its outcome CDF are read from one table per (menu, spec),
+``_menu_law``, whose rows are that law at each single setting.  Method 2
+rounds, rounds with an eavesdropper (her angle is any float) and the
+Monte-Carlo estimator compute the law per round.
 
 Sessions are runs 1 and 2; the Monte-Carlo estimator,
 ``monte_carlo_violation_rate``, plays run 0's rounds at one fixed triple.
@@ -32,8 +37,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +52,7 @@ from .core import OUTCOME_TRIPLES, Mode, normalize_angle, normalize_angles
 # bench/spans.py traces them as ``protocol.<name>``.
 from .adversary import apply_noise, eve_intercept_resend  # noqa: F401
 from .core import sample_joint  # noqa: F401
-from .ghz import GhzSpec, bob_phases, is_super_classical, menu_quality, outcome_probs, parity_rule
+from .ghz import GhzSpec, bob_phases, is_super_classical, outcome_probs, parity_rule
 from .transcript import Transcript
 
 
@@ -90,6 +97,9 @@ MAX_ROUNDS_FACTOR_METHOD1 = 8
 #: Most rounds played in one batch; bounds a long run's working memory.
 _MAX_BATCH = 4096
 
+#: The 8 outcome triples, row k being basis index k's.
+_OUTCOMES = np.array(OUTCOME_TRIPLES)
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -123,8 +133,9 @@ class ProtocolConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.bob_parity_preference not in (1, -1):
             raise ConfigError("bob_parity_preference must be +1 or -1")
-        if self.threshold is not None and not 0.0 <= self.threshold:
-            raise ConfigError("threshold must be non-negative")
+        # A bool threshold would be written as true, an infinite one as Infinity, which is no JSON.
+        if self.threshold is not None and (type(self.threshold) is bool or not 0.0 <= self.threshold < math.inf):
+            raise ConfigError(f"threshold must be finite and non-negative, got {self.threshold!r}")
         if self.menu is not None:
             menu = tuple(normalize_angle(a) for a in self.menu)
             if len(menu) != 3 or len(set(menu)) != 3:
@@ -279,6 +290,36 @@ def _eve_draws(config: ProtocolConfig, base: tuple[int, int], indices: np.ndarra
     return _menu_picks(base, indices, _ROLE_EVE, words[0]), _unit(words[1])
 
 
+class _MenuLaw(NamedTuple):
+    """The 27 settings of one (menu, spec), row ``code`` being the pick code 9a + 3b + c.
+
+    ``cdf`` holds the outcome CDF of each (code, Pauli on a, Pauli on c) at
+    row ``16 * code + 4 * pa + pc``.  Every array is read-only.
+    """
+
+    triples: np.ndarray
+    parity: np.ndarray
+    retention: float
+    cdf: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _menu_law(menu: tuple[float, ...], spec: GhzSpec) -> _MenuLaw:
+    """The menu table of a normalized menu, built once per (menu, spec).
+
+    Its rows are ``parity_rule`` and ``outcome_probs`` of each single
+    setting, elementwise arithmetic on the same floats, so a round that reads
+    the table gets the bits of the per-round law.
+    """
+    triples = np.array(list(itertools.product(menu, repeat=3)))
+    parity = parity_rule(spec, triples)
+    paulis = np.tile(np.array(list(itertools.product(range(4), repeat=2))).T, len(triples))
+    cdf = np.cumsum(outcome_probs(spec, np.repeat(triples, 16, axis=0), paulis), axis=1)
+    for array in (triples, parity, cdf):
+        array.flags.writeable = False
+    return _MenuLaw(triples, parity, np.count_nonzero(parity) / 27.0, cdf)
+
+
 def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop: int):
     """Rounds ``start`` to ``stop - 1`` as columns: angle draws, transit, measurement.
 
@@ -291,42 +332,52 @@ def _play_rounds(config: ProtocolConfig, base: tuple[int, int], start: int, stop
     (config, base entropy, round index) alone, never on the batch it is
     played in or on other rounds.  Every stream's draws are derived for the
     whole batch at once; transit and measurement are ``_transit_and_measure``.
+    A method 1 round reads its angles and parity from the menu table.
     """
     n = stop - start
     indices = np.arange(start, stop, dtype=np.uint64)
     if config.method is Method.METHOD1:
         words = _round_rng(base, _ROUND_DOMAIN, indices, _METHOD1_ROLES)
         picks = _menu_picks(base, indices, _METHOD1_ROLES[:3], words[:3])
-        phases = np.array(config.menu)[picks].T
-        parity = parity_rule(config.spec, phases)
+        codes = 9 * picks[0] + 3 * picks[1] + picks[2]
+        law = _menu_law(config.menu, config.spec)
+        phases, parity = law.triples.take(codes, axis=0), law.parity[codes]
     else:
         words = _round_rng(base, _ROUND_DOMAIN, indices, _METHOD2_ROLES)
         phi_a, phi_c = 2.0 * math.pi * _unit(words[:2])
         phases = np.column_stack([phi_a, bob_phases(config.spec, phi_a, phi_c, config.bob_parity_preference), phi_c])
+        codes = None
         parity = np.full(n, config.bob_parity_preference)
     u = _unit(words[-1])
 
-    outcomes = _transit_and_measure(config, base, indices, phases, u)
+    outcomes = _transit_and_measure(config, base, indices, phases, u, codes)
     return phases, parity != 0, outcomes, parity
 
 
-def _transit_and_measure(config: ProtocolConfig, base: tuple[int, int], indices: np.ndarray, phases, u):
+def _transit_and_measure(config: ProtocolConfig, base: tuple[int, int], indices: np.ndarray, phases, u, codes=None):
     """The outcome triples (n, 3) of rounds ``indices``, measured at ``phases`` with draws ``u``.
 
     Transit puts noise on particles a and c and then lets an intercept-resend
     eavesdropper measure particle a, with the draws from each round's own
     streams.  ``ghz.outcome_probs`` gives each round's law over its 8
-    outcomes, and ``u`` picks one by inverse CDF.
+    outcomes, and ``u`` picks one by inverse CDF.  A method 1 round without
+    an eavesdropper reads that CDF from the menu table at its pick code in
+    ``codes``; an eavesdropper's angle is any float, so her rounds keep the
+    per-round law.
     """
-    eve_angles = eve_x = None
+    paulis = _transit_paulis(config, base, indices)
     if config.eve.kind is EveKind.INTERCEPT_RESEND_A:
         guess, eve_u = _eve_draws(config, base, indices)
         eve_angles = np.array(config.menu if config.eve.fixed_angle is None else (config.eve.fixed_angle,))[guess]
         eve_x = np.where(eve_u < 0.5, 1, -1)  # either outcome has probability 1/2
-    probs = outcome_probs(config.spec, phases, _transit_paulis(config, base, indices), eve_angles, eve_x)
-    # As searchsorted(cumsum(probs), u, side="right") per round.
-    ks = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1), 7)
-    return np.array(OUTCOME_TRIPLES)[ks]
+        cdf = np.cumsum(outcome_probs(config.spec, phases, paulis, eve_angles, eve_x), axis=1)
+    elif config.method is Method.METHOD1:
+        cdf = _menu_law(config.menu, config.spec).cdf.take(16 * codes + 4 * paulis[0] + paulis[1], axis=0)
+    else:
+        cdf = np.cumsum(outcome_probs(config.spec, phases, paulis), axis=1)
+    # As searchsorted(cdf, u, side="right") per round.
+    ks = np.minimum((cdf <= u[:, None]).sum(axis=1), 7)
+    return _OUTCOMES.take(ks, axis=0)
 
 
 def _fixed_triple_outcomes(config: ProtocolConfig, phases, n_rounds: int, seed: int):
@@ -377,33 +428,27 @@ def _draw_key_bits(config: ProtocolConfig, base: tuple[int, int]) -> np.ndarray:
     return (words >> np.uint64(63)).astype(np.int64)
 
 
-@functools.lru_cache(maxsize=256)
-def _retention(menu: tuple[float, ...], spec: GhzSpec) -> float:
-    """``menu_quality`` of a normalized menu, computed once per (menu, spec)."""
-    return menu_quality(menu, spec)
-
-
 def _run_session(
     config: ProtocolConfig, base: tuple[int, int], key_bits: np.ndarray | None = None
 ) -> tuple[SessionResult, Transcript]:
     if key_bits is None:
         key_bits = _draw_key_bits(config, base)
 
-    # One ``_play_rounds`` call costs about 0.08 ms whatever its size (the
-    # counter hash for four roles, menu picks, outcome law and pick) and each
-    # round adds about 0.2 us (16- and 1024-round calls in process, 2-vCPU
-    # x86 host, Python 3.11, numpy 2.4), so a batch is sized to place every
-    # missing key bit at 4 sigma and a method 1 session nearly always needs
-    # one call.  The rounds that place ``wanted`` bits at the menu's exact
-    # retention r are negative binomial, mean wanted / r and standard
-    # deviation sqrt(wanted (1 - r)) / r; the batch is the mean plus 4
-    # standard deviations.  Method 2 (r = 1) plays exactly the key length.
+    # One method 1 ``_play_rounds`` call costs about 0.045 ms whatever its
+    # size (the counter hash for four roles, menu picks, table reads and
+    # pick) and each round adds about 0.09 us (16- and 1024-round calls in
+    # process, 2-vCPU x86 host, Python 3.11, numpy 2.4), so a batch is sized
+    # to place every missing key bit at 4 sigma and a method 1 session nearly
+    # always needs one call.  The rounds that place ``wanted`` bits at the
+    # menu's exact retention r are negative binomial, mean wanted / r and
+    # standard deviation sqrt(wanted (1 - r)) / r; the batch is the mean plus
+    # 4 standard deviations.  Method 2 (r = 1) plays exactly the key length.
     # The session ends right after the round that places the last bit, and a
     # round depends on its index alone, so batch boundaries never change a
     # session.
     batches = []
     placed = 0
-    retention = _retention(config.menu, config.spec) if config.method is Method.METHOD1 else 1.0
+    retention = _menu_law(config.menu, config.spec).retention if config.method is Method.METHOD1 else 1.0
     start = 0
     while placed < config.key_length and start < config.max_rounds:
         wanted = config.key_length - placed

@@ -409,8 +409,9 @@ def test_detect_clean_and_thresholds():
     assert report.violations == 0
     assert report.verdict is Verdict.CLEAN
     assert report.rounds_checked == report.class_counts[1][0] + report.class_counts[-1][0] == 32
-    # A NaN threshold compares false with every rate, so it would clear any session.
-    for bad in (-0.1, float("nan")):
+    # A NaN threshold compares false with every rate, so it would clear any
+    # session; an infinite one clears every session and is no JSON number.
+    for bad in (-0.1, float("nan"), math.inf):
         with pytest.raises(ValueError, match="non-negative"):
             detect(transcript, threshold=bad)
 

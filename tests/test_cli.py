@@ -340,6 +340,9 @@ def test_usage_errors_exit_one(capsys):
         ["simulate", "--method", "2", "--eve-angle", "0.3", "--seed", "1"],
         ["simulate", "--menu", "0,pi/2,pi", "--eve", "impersonate-charlie", "--eve-angle", "0.3", "--seed", "1"],
         ["sweep", "--variable", "eve-angle", "--menu", "0.1,0.2,0.3", "--mc-rounds", "5", "--seed", "1"],
+        # An infinite threshold would be written as Infinity, which is no JSON.
+        ["simulate", "--method", "2", "--key-length", "4", "--threshold", "inf", "--seed", "1"],
+        ["simulate", "--method", "2", "--key-length", "4", "--threshold", "1e400", "--seed", "1"],
     ):
         assert main(argv) == EXIT_ERROR
         assert capsys.readouterr().err.startswith(("ghzkd: error: ", "usage: "))

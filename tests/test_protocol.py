@@ -18,6 +18,9 @@ from ghzkd.ghz import (
     compatible_outcomes,
     ghz_state,
     is_super_classical,
+    menu_quality,
+    outcome_probs,
+    parity_rule,
     solve_bob_phase,
     super_classical_triples,
 )
@@ -126,6 +129,12 @@ def test_config_validation():
         {"key_length": 4.5},
         {"key_length": True},
         {"key_length": 4, "max_rounds": 10.5},
+        # A bool threshold would be written as true, an infinite one as
+        # Infinity, which strict JSON parsers reject.
+        {"threshold": True},
+        {"threshold": math.inf},
+        {"threshold": 1e400},
+        {"threshold": float("nan")},
     )
     for bad in bad_inputs:
         with pytest.raises(ConfigError):
@@ -316,6 +325,10 @@ _FULL_NOISE = NoiseModel.depolarizing(1.0)
 _EVERY_PAULI_PAIR = _m2(
     key_length=600, seed=8, spec=GhzSpec("-+-", -1), noise=NoiseModel.depolarizing(0.5), threshold=1.0
 )
+#: The same for a menu session without an eavesdropper, whose rounds read the menu table's Pauli rows.
+_METHOD1_EVERY_PAULI_PAIR = _m1(
+    key_length=300, seed=9, spec=GhzSpec("++-", 1), noise=NoiseModel.depolarizing(0.5), threshold=1.0
+)
 
 
 def _run(cfg):
@@ -348,6 +361,7 @@ def _run(cfg):
             threshold=1.0,
         ),
         _EVERY_PAULI_PAIR,
+        _METHOD1_EVERY_PAULI_PAIR,
     ],
     ids=[
         "method1-noise-eve",
@@ -358,6 +372,7 @@ def _run(cfg):
         "method2-full-noise",
         "method2-polarization-fixed-eve",
         "method2-every-pauli-pair",
+        "method1-every-pauli-pair",
     ],
 )
 def test_round_records_match_the_scalar_reference_engine(cfg):
@@ -374,7 +389,7 @@ def test_round_records_match_the_scalar_reference_engine(cfg):
         ints = (record.index, record.outcome_a, record.outcome_b, record.outcome_c)
         assert all(type(x) is int for x in ints)
         assert record.parity is None or type(record.parity) is int
-    if cfg is _EVERY_PAULI_PAIR:
+    if cfg is _EVERY_PAULI_PAIR or cfg is _METHOD1_EVERY_PAULI_PAIR:
         assert pairs == set(itertools.product(range(4), repeat=2))
 
 
@@ -416,6 +431,26 @@ def test_menu_session_plays_one_batch(monkeypatch):
         cfg = _m1(spec=specs[seed % len(specs)], mode=modes[seed // len(specs) % len(modes)], seed=seed)
         result, _ = run_method1(cfg)
         assert len(calls) == 1, (seed, calls, result.rounds_used)
+
+
+@pytest.mark.parametrize(
+    "menu, retention", [(MENU, 14 / 27), ((0.0, 0.1, 0.5), 1 / 27)], ids=["quarter-turns", "narrow"]
+)
+def test_menu_table_rows_are_the_single_setting_law(menu, retention):
+    menu = _m1(menu=menu).menu  # normalized, as a session keys the table
+    for spec in GhzSpec.all_canonical():
+        law = protocol._menu_law(menu, spec)
+        assert law.retention == menu_quality(menu, spec)
+        for code, triple in enumerate(itertools.product(menu, repeat=3)):
+            assert tuple(law.triples[code].tolist()) == triple
+            assert law.parity[code] == parity_rule(spec, triple)
+            for pa, pc in itertools.product(range(4), repeat=2):
+                single = np.cumsum(outcome_probs(spec, [triple], np.array([[pa], [pc]])), axis=1)[0]
+                assert np.array_equal(law.cdf[16 * code + 4 * pa + pc], single), (spec, triple, pa, pc)
+        for array in (law.triples, law.parity, law.cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+    assert protocol._menu_law(menu, GhzSpec()).retention == retention
 
 
 @st.composite
